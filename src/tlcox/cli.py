@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .coxeter import (
+    DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     CoxeterGraph,
     GraphError,
@@ -27,7 +28,7 @@ from .coxeter import (
     parse_graph,
     preset,
 )
-from .hecke import HeckeAlgebra, OracleCapExceeded, kl_tables
+from .hecke import DEFAULT_ELEMENT_CAP, HeckeAlgebra, OracleCapExceeded, kl_tables
 from .stars import check_property_F, check_property_S
 from .tl import (
     CanonicalRecursionError,
@@ -63,14 +64,14 @@ def _load_graph(args) -> CoxeterGraph:
         g = parse_graph(Path(args.graph).read_text())
     else:
         raise ConfigError("one of --preset or --graph is required")
-    if args.cap is not None:
-        if args.cap <= 0:
-            raise ConfigError("--cap must be positive")
-        g.closure_cap = args.cap
-    if getattr(args, "oracle_cap", None) is not None:
-        if args.oracle_cap <= 0:
-            raise ConfigError("--oracle-cap must be positive")
-        HeckeAlgebra.for_graph(g).element_cap = args.oracle_cap
+    # graphs and their algebras are shared across invocations, so every
+    # limit is set on each run, back to its default when its flag is absent
+    if args.cap is not None and args.cap <= 0:
+        raise ConfigError("--cap must be positive")
+    if args.oracle_cap is not None and args.oracle_cap <= 0:
+        raise ConfigError("--oracle-cap must be positive")
+    g.closure_cap = args.cap or DEFAULT_CLOSURE_CAP
+    HeckeAlgebra.for_graph(g).element_cap = args.oracle_cap or DEFAULT_ELEMENT_CAP
     return g
 
 

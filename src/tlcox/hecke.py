@@ -23,8 +23,8 @@ from .coxeter import (
     enumerate_elements,
     format_element,
 )
-from .laurent import ONE, V_MINUS_VINV, ZERO, LaurentPoly, format_terms
-from .tl import Coords, TLAlgebra, acc, bar_solve
+from .laurent import ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, format_terms
+from .tl import Coords, TLAlgebra, acc, bar_solve, left_action_product
 
 DEFAULT_ELEMENT_CAP = 50_000
 
@@ -52,7 +52,7 @@ class HeckeAlgebra:
         self._bar: dict[GroupElement, Coords] = {}
         self._kl: dict[GroupElement, Coords] = {}
         self._tt: dict[tuple[GroupElement, GroupElement], Coords] = {}
-        self._tc: dict[tuple[GroupElement, GroupElement], Coords] = {}
+        self._klgen: dict[tuple[int, GroupElement], Coords] = {}
         self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._theta: dict[GroupElement, Coords] = {}
 
@@ -210,28 +210,26 @@ class HeckeAlgebra:
                     del rem[y]
         return out
 
-    def tkl_prod(self, u: GroupElement, y: GroupElement) -> Coords:
-        key = (u, y)
-        cached = self._tc.get(key)
+    def kl_lgen(self, s: int, w: GroupElement) -> Coords:
+        """C'_s C'_w in bar-invariant coordinates, memoized on (s, w)."""
+        key = (s, w)
+        cached = self._klgen.get(key)
         if cached is None:
-            if not u.word:
-                cached = dict(self.kl_basis(y))
-            else:
-                rest = self.graph.element(u.word[1:])
-                cached = self.lmul(u.word[0], self.tkl_prod(rest, y))
-            self._tc[key] = cached
+            kw = self.kl_basis(w)
+            prod = self.lmul(s, kw)
+            acc(prod, kw, V_INV)
+            cached = self.to_kl(prod)
+            self._klgen[key] = cached
         return cached
 
     def kl_mul(self, x: GroupElement, y: GroupElement) -> Coords:
         """Product of two bar-invariant basis elements, in bar-invariant
-        coordinates."""
+        coordinates, by the left action of the C'_s (the quotient's
+        recursion, see left_action_product); memoized on (x, y)."""
         key = (x, y)
         cached = self._cmul.get(key)
         if cached is None:
-            prod: Coords = {}
-            for u, cu in self.kl_basis(x).items():
-                acc(prod, self.tkl_prod(u, y), cu)
-            cached = self.to_kl(prod)
+            cached = left_action_product(x, y, self.kl_lgen, self.kl_mul)
             self._cmul[key] = cached
         return cached
 

@@ -17,6 +17,10 @@ tables with two independent q* computations that must agree, products in
 canonical coordinates, sublattice membership, and the dihedral canonical
 basis built from the three-term second-kind Chebyshev recurrence.
 
+Products of canonical basis elements stay in canonical coordinates: c_x c_y
+follows from a memoized table of c_s c_w by peeling the first letter of x
+(left_action_product, shared with the full-group algebra).
+
 All per-basis computations are memoized on a per-graph algebra object;
 everything is an immutable value from the caller's point of view.
 """
@@ -109,6 +113,33 @@ def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> 
     return p
 
 
+def left_action_product(x: GroupElement, y: GroupElement,
+                        c_lgen: Callable[[int, GroupElement], Coords],
+                        mul: Callable[[GroupElement, GroupElement], Coords]) -> Coords:
+    """c_x c_y in canonical coordinates, by the left action of c_s.
+
+    With s the first letter of x and x' = s x, the product c_s c_x' in
+    canonical coordinates is c_x plus strictly shorter terms a_z c_z (both
+    bases are unitriangular), so
+
+        c_x c_y = sum_w (c_x' c_y)[w] c_s c_w - sum_z a_z c_z c_y.
+
+    c_lgen(s, w) is c_s c_w in canonical coordinates; mul is the memoized
+    product that this recursion is the body of.
+    """
+    if not x.word:
+        return {y: ONE}
+    s = x.word[0]
+    xp = x.graph.lmul(s, x)
+    out: Coords = {}
+    for w, c in mul(xp, y).items():
+        acc(out, c_lgen(s, w), c)
+    for z, a in c_lgen(s, xp).items():
+        if z != x:
+            acc(out, mul(z, y), -a)
+    return out
+
+
 def _dihedral_proper_words(s: int, t: int, m: int) -> list[tuple[int, ...]]:
     """Words for the 2m-1 elements strictly below the longest element of the
     dihedral parabolic on {s, t}."""
@@ -140,7 +171,7 @@ class TLAlgebra:
         self._expand: dict[GroupElement, Coords] = {}
         self._cbasis: dict[GroupElement, Coords] = {}
         self._cbasis_rec: dict[GroupElement, Coords] = {}
-        self._tc: dict[tuple[GroupElement, GroupElement], Coords] = {}
+        self._cgen: dict[tuple[int, GroupElement], Coords] = {}
         self._tt: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._q: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
@@ -349,29 +380,27 @@ class TLAlgebra:
             acc(out, self.cbasis(w), c)
         return out
 
+    def c_lgen(self, s: int, w: GroupElement) -> Coords:
+        """c_s c_w in canonical coordinates, memoized on (s, w)."""
+        key = (s, w)
+        cached = self._cgen.get(key)
+        if cached is None:
+            cw = self.cbasis(w)
+            prod = self.lmul(s, cw)
+            acc(prod, cw, V_INV)
+            cached = self.to_c(prod)
+            self._cgen[key] = cached
+        return cached
+
     def c_mul(self, x: GroupElement, y: GroupElement) -> Coords:
-        """The product of canonical basis elements in canonical coordinates."""
+        """The product of canonical basis elements in canonical coordinates,
+        by the left action of the canonical generators (never leaves
+        canonical coordinates); memoized on (x, y)."""
         key = (x, y)
         cached = self._cmul.get(key)
         if cached is None:
-            prod: Coords = {}
-            for u, cu in self.cbasis(x).items():
-                acc(prod, self.tc_prod(u, y), cu)
-            cached = self.to_c(prod)
+            cached = left_action_product(x, y, self.c_lgen, self.c_mul)
             self._cmul[key] = cached
-        return cached
-
-    def tc_prod(self, u: GroupElement, y: GroupElement) -> Coords:
-        """t_u times the canonical element of y, memoized on (u, y)."""
-        key = (u, y)
-        cached = self._tc.get(key)
-        if cached is None:
-            if not u.word:
-                cached = dict(self.cbasis(y))
-            else:
-                rest = self.graph.element(u.word[1:])
-                cached = self.lmul(u.word[0], self.tc_prod(rest, y))
-            self._tc[key] = cached
         return cached
 
     # -- q* by the descent recursion ---------------------------------------------------------

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,24 @@ def test_config_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_limits_do_not_leak_between_invocations(monkeypatch, capsys):
+    # presets and their algebras are shared in one process; a limit given
+    # to one run must not bind the next run, which omits the flag.  Fresh
+    # presets, so that the braid closures are not already memoized.
+    import tlcox.coxeter as coxeter_mod
+
+    monkeypatch.setattr(coxeter_mod, "_PRESET_CACHE", {})
+    code, _, err = run_cli(capsys, "tables", "--preset", "A4", "--bound", "3",
+                           "--kl", "--oracle-cap", "3")
+    assert code == 2 and "cap" in err
+    code, out, _ = run_cli(capsys, "tables", "--preset", "A4", "--bound", "3", "--kl")
+    assert code == 0 and out.startswith("y\tw\tP\tmu\n")
+    code, _, err = run_cli(capsys, "basis", "--preset", "A3", "--cap", "2")
+    assert code == 2 and "cap" in err
+    code, out, _ = run_cli(capsys, "basis", "--preset", "A3", "--bound", "4")
+    assert code == 0 and "agree=no" not in out
+
+
 def test_mu_trace_refuses_non_bipartite(tmp_path, capsys):
     table = tmp_path / "t.txt"
     table.write_text("e : 1\n")
@@ -216,8 +236,14 @@ def test_trace_evaluation_helper():
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    import tlcox
+
+    src = str(Path(tlcox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tlcox.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "tlcox" in proc.stdout
