@@ -2,12 +2,24 @@
 
 A Coxeter graph is a symmetric matrix of bond labels m(s,t) with m(s,s) = 1
 and off-diagonal entries in {2, 3, ...} or infinity.  Group elements are kept
-in a canonical form: the ShortLex-least reduced word over the closure of the
-word under braid moves (two words represent the same element iff they are
-connected by braid moves, and a word is non-reduced iff some sequence of
-braid moves exposes an adjacent equal pair).  The closure sets double as the
-sets of all reduced words, which is what the descent, full-commutativity and
-string machinery reads off.
+in a canonical form, the ShortLex-least reduced word, found by one of two
+word problems:
+
+- Fully commutative elements go through the heap of a word (Stembridge, On
+  the fully commutative elements of Coxeter groups, J. Algebraic Combin. 5,
+  1996): the poset on the positions of the word generated by i < j whenever
+  the letters at i and j do not commute.  A word is a reduced word of a fully
+  commutative element iff its heap has no convex chain s, s and no convex
+  alternating chain s, t, s, ... of length m(s,t) (Prop. 3.3); the reduced
+  words of such an element are then exactly the linear extensions of the
+  heap, so the canonical word is the lex-least one, the descents are the
+  labels of the minimal and maximal elements, and multiplying by a descent
+  drops the first or last occurrence of that letter.
+- Every other word falls back to the closure under braid moves (two words
+  represent the same element iff they are connected by braid moves, and a
+  word is non-reduced iff some sequence of braid moves exposes an adjacent
+  equal pair).  The closure sets double as the sets of all reduced words,
+  which is what descents and multiplication read off for these elements.
 
 Generators are 0-based internally and rendered 1-based; the identity renders
 as `e`.  All canonical forms, closures and derived data are memoized on the
@@ -31,6 +43,8 @@ FULLY_COMMUTATIVE = "fully_commutative"
 WEAKLY_COMPLEX = "weakly_complex"
 COMPLEX_OTHER = "complex_other"
 
+_MISSING = object()
+
 
 class GraphError(ValueError):
     """Malformed graph description or preset name."""
@@ -44,7 +58,7 @@ class CoxeterGraph:
     """A Coxeter graph with memoized word-problem machinery."""
 
     __slots__ = (
-        "bonds", "name", "closure_cap",
+        "bonds", "name", "closure_cap", "_nbrs", "_braids",
         "_canon", "_closure", "_elements", "_identity", "_lmul", "_rmul",
         "_inverse", "_ldesc", "_rdesc", "_fc", "_bruhat", "_levels",
         "_level_complete",
@@ -69,6 +83,10 @@ class CoxeterGraph:
         self.bonds = bonds
         self.name = name
         self.closure_cap = closure_cap
+        # per generator: the generators it does not commute with, itself included
+        self._nbrs = tuple(tuple(t for t in range(n) if bonds[s][t] != 2) for s in range(n))
+        self._braids = tuple((s, t, bonds[s][t]) for s in range(n) for t in range(s + 1, n)
+                             if 3 <= bonds[s][t] < INFINITE)
         self._canon: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._closure: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
         self._elements: dict[tuple[int, ...], GroupElement] = {}
@@ -78,10 +96,11 @@ class CoxeterGraph:
         self._inverse: dict[tuple[int, ...], GroupElement] = {}
         self._ldesc: dict[tuple[int, ...], frozenset[int]] = {}
         self._rdesc: dict[tuple[int, ...], frozenset[int]] = {}
-        self._fc: dict[tuple[int, ...], bool] = {}
+        self._fc: dict[tuple[int, ...], tuple[int, ...] | None] = {}
         self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        self._levels: list[list[GroupElement]] = []
-        self._level_complete = False
+        # indexed by fc_only: all elements, fully commutative ones
+        self._levels: tuple[list[list[GroupElement]], ...] = ([], [])
+        self._level_complete = [False, False]
 
     # -- structure ----------------------------------------------------------
 
@@ -171,6 +190,9 @@ class CoxeterGraph:
             if cached is not None:
                 canon = cached
                 break
+            canon = self.fc_normal_form_word(current)
+            if canon is not None:
+                break
             reduced, seen, shorter = self._scan(current)
             pending.append(seen)
             if reduced:
@@ -182,6 +204,88 @@ class CoxeterGraph:
             for u in seen:
                 self._canon[u] = canon
         return canon
+
+    # -- heaps --------------------------------------------------------------------
+
+    def heap(self, word: Sequence[int]) -> tuple[list[int], list[int]]:
+        """The heap of a word, as (down, up): for each position i, the
+        bitmasks of the positions below and above i, both including i.
+        Position i lies below j when i <= j and a chain of positions from i
+        to j carries pairwise non-commuting consecutive letters."""
+        n = len(word)
+        nbrs = self._nbrs
+        down = [0] * n
+        last = [-1] * self.rank
+        for i, a in enumerate(word):
+            d = 1 << i
+            for b in nbrs[a]:
+                j = last[b]
+                if j >= 0:
+                    d |= down[j]
+            down[i] = d
+            last[a] = i
+        up = [0] * n
+        last = [-1] * self.rank
+        for i in range(n - 1, -1, -1):
+            a = word[i]
+            u = 1 << i
+            for b in nbrs[a]:
+                j = last[b]
+                if j >= 0:
+                    u |= up[j]
+            up[i] = u
+            last[a] = i
+        return down, up
+
+    def fc_normal_form_word(self, word: Sequence[int]) -> tuple[int, ...] | None:
+        """The canonical word of `word` if it is a reduced word of a fully
+        commutative element, else None; memoized on the word.
+
+        Decided on the heap alone (Stembridge, Prop. 3.3): no convex chain
+        s, s and no convex alternating chain s, t, s, ... of length m(s,t).
+        The canonical word is then the lex-least linear extension: take the
+        least label among the minimal elements each time.
+        """
+        word = tuple(word)
+        got = self._fc.get(word, _MISSING)
+        if got is _MISSING:
+            got = self._fc[word] = self._heap_normal_form(word)
+        return got
+
+    def _heap_normal_form(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
+        n = len(word)
+        down, up = self.heap(word)
+        occ: list[list[int]] = [[] for _ in range(self.rank)]
+        for j, a in enumerate(word):
+            if occ[a]:
+                i = occ[a][-1]
+                if up[i] & down[j] == (1 << i) | (1 << j):
+                    return None  # convex chain s, s: not reduced
+            occ[a].append(j)
+        for s, t, m in self._braids:
+            if not (occ[s] and occ[t]):
+                continue
+            run: list[int] = []  # an alternating run of s and t ending at j
+            for j, a in enumerate(word):
+                if a == s or a == t:
+                    if run and word[run[-1]] == a:
+                        run = []
+                    run.append(j)
+                    if len(run) >= m and (up[run[-m]] & down[j]).bit_count() == m:
+                        return None  # convex alternating chain: not fully commutative
+        out = []
+        ptr = [0] * self.rank
+        left = (1 << n) - 1
+        for _ in range(n):
+            for a, places in enumerate(occ):
+                if ptr[a] < len(places):
+                    i = places[ptr[a]]
+                    if down[i] & left == 1 << i:
+                        break
+            out.append(a)
+            ptr[a] += 1
+            left ^= 1 << i
+        return tuple(out)
 
     def element(self, word: Iterable[int] = ()) -> GroupElement:
         canon = self.normal_form_word(word)
@@ -214,11 +318,13 @@ class CoxeterGraph:
         key = (s, w.word)
         got = self._lmul.get(key)
         if got is None:
-            if s in self.left_descents(w):
-                word = min(u[1:] for u in self.reduced_words(w) if u[0] == s)
-                got = self.element(word)
-            else:
+            if s not in self.left_descents(w):
                 got = self.element((s,) + w.word)
+            elif self.is_fully_commutative(w):
+                i = w.word.index(s)
+                got = self.element(w.word[:i] + w.word[i + 1:])
+            else:
+                got = self.element(min(u[1:] for u in self.reduced_words(w) if u[0] == s))
             self._lmul[key] = got
         return got
 
@@ -226,11 +332,13 @@ class CoxeterGraph:
         key = (w.word, s)
         got = self._rmul.get(key)
         if got is None:
-            if s in self.right_descents(w):
-                word = min(u[:-1] for u in self.reduced_words(w) if u[-1] == s)
-                got = self.element(word)
-            else:
+            if s not in self.right_descents(w):
                 got = self.element(w.word + (s,))
+            elif self.is_fully_commutative(w):
+                i = len(w.word) - 1 - w.word[::-1].index(s)
+                got = self.element(w.word[:i] + w.word[i + 1:])
+            else:
+                got = self.element(min(u[:-1] for u in self.reduced_words(w) if u[-1] == s))
             self._rmul[key] = got
         return got
 
@@ -252,14 +360,22 @@ class CoxeterGraph:
     def left_descents(self, w: "GroupElement") -> frozenset[int]:
         got = self._ldesc.get(w.word)
         if got is None:
-            got = frozenset(u[0] for u in self.reduced_words(w)) if w.word else frozenset()
+            if self.is_fully_commutative(w):
+                down, _ = self.heap(w.word)  # the labels of the minimal elements
+                got = frozenset(a for a, d in zip(w.word, down) if d.bit_count() == 1)
+            else:
+                got = frozenset(u[0] for u in self.reduced_words(w))
             self._ldesc[w.word] = got
         return got
 
     def right_descents(self, w: "GroupElement") -> frozenset[int]:
         got = self._rdesc.get(w.word)
         if got is None:
-            got = frozenset(u[-1] for u in self.reduced_words(w)) if w.word else frozenset()
+            if self.is_fully_commutative(w):
+                _, up = self.heap(w.word)  # the labels of the maximal elements
+                got = frozenset(a for a, u in zip(w.word, up) if u.bit_count() == 1)
+            else:
+                got = frozenset(u[-1] for u in self.reduced_words(w))
             self._rdesc[w.word] = got
         return got
 
@@ -294,47 +410,39 @@ class CoxeterGraph:
     # -- full commutativity --------------------------------------------------------
 
     def is_fully_commutative(self, w: "GroupElement") -> bool:
-        """True iff no reduced word of w contains a full alternating braid factor."""
-        got = self._fc.get(w.word)
-        if got is None:
-            bonds = self.bonds
-            got = True
-            for u in self.reduced_words(w):
-                n = len(u)
-                for i in range(n - 1):
-                    s, t = u[i], u[i + 1]
-                    m = bonds[s][t]
-                    if m == 2 or m == INFINITE or i + m > n:
-                        continue
-                    for k in range(2, m):
-                        if u[i + k] != (s if k % 2 == 0 else t):
-                            break
-                    else:
-                        got = False
-                        break
-                if not got:
-                    break
-            self._fc[w.word] = got
-        return got
+        """True iff no reduced word of w contains a full alternating braid
+        factor; read off the heap of its canonical word."""
+        return self.fc_normal_form_word(w.word) is not None
 
     # -- enumeration ------------------------------------------------------------
 
-    def levels_to(self, bound: int) -> list[list["GroupElement"]]:
-        """Lists of all elements of each length 0..bound, ShortLex-sorted."""
-        if not self._levels:
-            self._levels.append([self.identity])
-        while len(self._levels) <= bound and not self._level_complete:
-            frontier = self._levels[-1]
+    def levels_to(self, bound: int, fc_only: bool = False) -> list[list["GroupElement"]]:
+        """Lists of all elements (or all fully commutative ones) of each
+        length 0..bound, ShortLex-sorted.
+
+        Each level is grown from the one before as s*w for s not a left
+        descent of w.  Every left factor of a fully commutative element is
+        fully commutative, so the fully commutative levels grow from
+        themselves, keeping s*w when the heap of its word passes the test.
+        """
+        levels = self._levels[fc_only]
+        if not levels:
+            levels.append([self.identity])
+        while len(levels) <= bound and not self._level_complete[fc_only]:
             nxt = set()
-            for w in frontier:
+            for w in levels[-1]:
+                desc = self.left_descents(w)
                 for s in self.generators():
-                    if s not in self.left_descents(w):
-                        nxt.add(self.lmul(s, w))
+                    if s in desc:
+                        continue
+                    if fc_only and self.fc_normal_form_word((s,) + w.word) is None:
+                        continue
+                    nxt.add(self.lmul(s, w))
             if not nxt:
-                self._level_complete = True
+                self._level_complete[fc_only] = True
                 break
-            self._levels.append(sorted(nxt, key=lambda e: e.word))
-        return self._levels[: bound + 1]
+            levels.append(sorted(nxt, key=lambda e: e.word))
+        return levels[: bound + 1]
 
 
 class GroupElement:
@@ -467,10 +575,8 @@ def enumerate_elements(graph: CoxeterGraph, length_bound: int,
     each exactly once, in length-then-ShortLex order."""
     if length_bound < 0:
         raise ValueError("length bound must be nonnegative")
-    for level in graph.levels_to(length_bound):
-        for w in level:
-            if not fc_only or w.is_fully_commutative():
-                yield w
+    for level in graph.levels_to(length_bound, fc_only):
+        yield from level
 
 
 def _component_order(graph: CoxeterGraph, nodes: list[int]) -> tuple[int, int] | None:
@@ -639,6 +745,7 @@ def decompose_fc_prefix(w: GroupElement, s: int):
     """For fully commutative w with s*w longer and not fully commutative,
     split w = w1 * w2 * w3 where every letter of w1 commutes with (and
     differs from) s and w2 alternates t,s,t,... with m(s,t)-1 letters.
+    Among such splits, the one read off the lex-least reduced word of w.
 
     Returns (w1, w2, w3, t).
     """
@@ -647,24 +754,21 @@ def decompose_fc_prefix(w: GroupElement, s: int):
         raise ValueError("w must be fully commutative")
     if s in g.left_descents(w):
         raise ValueError("s*w must be longer than w")
-    sw = g.lmul(s, w)
-    if sw.is_fully_commutative():
+    if g.fc_normal_form_word((s,) + w.word) is not None:
         raise ValueError("s*w must not be fully commutative")
-    bonds = g.bonds
-    for u in sorted(g.reduced_words(w)):
-        n = len(u)
-        for i in range(n):
-            t = u[i]
-            m = bonds[s][t]
-            if m >= 3 and m != INFINITE and i + (m - 1) <= n:
-                if all(u[i + k] == (t if k % 2 == 0 else s) for k in range(m - 1)):
-                    w1 = g.element(u[:i])
-                    w2 = g.element(u[i:i + m - 1])
-                    w3 = g.element(u[i + m - 1:])
-                    return w1, w2, w3, t
-            if bonds[t][s] != 2:
-                break  # u[i] cannot belong to the commuting prefix
-    raise ValueError("no alternating-prefix factorization found")  # pragma: no cover
+    # The heap of s*w has a convex alternating chain s, t, s, ... of length
+    # m(s, t) (Stembridge, Prop. 3.3).  It starts at the new minimal s, so
+    # t is the first letter of w not commuting with s and w2 is made of the
+    # first m-1 occurrences of s and t; everything the chain needs below it
+    # lies below that first t.  The canonical word of w, its lex-least
+    # reduced word, is thus also the least with such a split: w1 is the part
+    # of it before the first t.
+    word = w.word
+    k = next(i for i, a in enumerate(word) if g.m(s, a) != 2)
+    t = word[k]
+    chain = [i for i, a in enumerate(word) if a == s or a == t][:g.m(s, t) - 1]
+    w3 = tuple(a for i, a in enumerate(word) if i > k and i not in chain)
+    return g.element(word[:k]), g.element(tuple(word[i] for i in chain)), g.element(w3), t
 
 
 # -- graph text format and presets --------------------------------------------------

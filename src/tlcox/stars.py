@@ -149,24 +149,30 @@ def check_property_S(graph: CoxeterGraph, length_bound: int) -> PropertyReport:
 
 def n_stat(w: GroupElement) -> int:
     """The largest k such that some reduced word of w has a contiguous factor
-    of k distinct pairwise-commuting generators."""
+    of k distinct pairwise-commuting generators.
+
+    For fully commutative w these factors are exactly the antichains of the
+    heap of w, so this is the heap's width: its size minus a maximum matching
+    of its strict order (Dilworth's theorem).
+    """
     if not w.is_fully_commutative():
         raise ValueError("n_stat is defined for fully commutative elements only")
-    g = w.graph
-    bonds = g.bonds
-    best = 0
-    for u in g.reduced_words(w):
-        n = len(u)
-        for i in range(n):
-            window: list[int] = []
-            for j in range(i, n):
-                c = u[j]
-                if c in window or any(bonds[c][d] != 2 for d in window):
-                    break
-                window.append(c)
-            if len(window) > best:
-                best = len(window)
-    return best
+    _, up = w.graph.heap(w.word)
+    match: dict[int, int] = {}  # upper element -> the lower element matched to it
+
+    def augment(i: int, seen: set[int]) -> bool:
+        above = up[i] & ~(1 << i)
+        while above:
+            j = (above & -above).bit_length() - 1
+            above &= above - 1
+            if j not in seen:
+                seen.add(j)
+                if j not in match or augment(match[j], seen):
+                    match[j] = i
+                    return True
+        return False
+
+    return len(up) - sum(augment(i, set()) for i in range(len(up)))
 
 
 @dataclass(frozen=True)

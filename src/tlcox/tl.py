@@ -93,15 +93,17 @@ def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> 
                 support.add(z)
                 stack.append(z)
     p: Coords = {}
+    rows: list[tuple[LaurentPoly, Coords]] = []  # (bar(p[y]), bar_expand(y)) per y in p
     for z in sorted(support, reverse=True):
         if z == w:
             p[z] = ONE
+            rows.append((ONE, bar_expand(z)))
             continue
         f = ZERO
-        for y, py in p.items():
-            r = bar_expand(y).get(z)
+        for pbar, row in rows:
+            r = row.get(z)
             if r is not None:
-                f = f + py.bar() * r
+                f = f + pbar * r
         if f.is_zero():
             continue
         if f.coeff(0) != 0 or f.bar() != -f:
@@ -110,6 +112,7 @@ def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> 
         part = f.neg_part()
         if part:
             p[z] = part
+            rows.append((part.bar(), bar_expand(z)))
     return p
 
 
@@ -188,21 +191,20 @@ class TLAlgebra:
         g = self.graph
         if s in g.left_descents(w):
             out = {g.lmul(s, w): ONE, w: V_MINUS_VINV}
+        elif g.fc_normal_form_word((s,) + w.word) is not None:
+            out = {g.lmul(s, w): ONE}
         else:
-            sw = g.lmul(s, w)
-            if g.is_fully_commutative(sw):
-                out = {sw: ONE}
-            else:
-                w1, w2, w3, t = decompose_fc_prefix(w, s)
-                m = g.m(s, t)
-                assert m != INFINITE  # an infinite bond never produces a braid factor
-                out = {}
-                prefix = w1.word
-                for u_word in _dihedral_proper_words(s, t, m):
-                    term: Coords = {w3: ONE}
-                    for letter in reversed(prefix + u_word):
-                        term = self.lmul(letter, term)
-                    acc(out, term, -LaurentPoly.v(len(u_word) - m))
+            # s*w is not fully commutative; it is never built as an element
+            w1, w2, w3, t = decompose_fc_prefix(w, s)
+            m = g.m(s, t)
+            assert m != INFINITE  # an infinite bond never produces a braid factor
+            out = {}
+            prefix = w1.word
+            for u_word in _dihedral_proper_words(s, t, m):
+                term: Coords = {w3: ONE}
+                for letter in reversed(prefix + u_word):
+                    term = self.lmul(letter, term)
+                acc(out, term, -LaurentPoly.v(len(u_word) - m))
         self._lgen[key] = out
         return out
 
@@ -424,11 +426,11 @@ class TLAlgebra:
                 out = self.q_poly(x, wp)
             else:
                 out = self.q_poly(g.lmul(s, x), wp) - LaurentPoly.v(2) * self.q_poly(x, wp)
-                for level in g.levels_to(wp.length)[x.length + 1:]:
+                for level in g.levels_to(wp.length, fc_only=True)[x.length + 1:]:
                     for y in level:
                         if (y.length - x.length) % 2 == 0:
                             continue
-                        if s in g.left_descents(y) or not y.is_fully_commutative():
+                        if s in g.left_descents(y):
                             continue
                         mc = self.q_poly(x, y).coeff(y.length - x.length - 1)
                         if mc:
