@@ -13,13 +13,12 @@ error, 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .coxeter import (
-    DEFAULT_CLOSURE_CAP,
-    ClosureCapExceeded,
     CoxeterGraph,
     GraphError,
     enumerate_elements,
@@ -64,27 +63,27 @@ def _load_graph(args) -> CoxeterGraph:
         g = parse_graph(Path(args.graph).read_text())
     else:
         raise ConfigError("one of --preset or --graph is required")
-    # graphs and their algebras are shared across invocations, so every
-    # limit is set on each run, back to its default when its flag is absent
-    if args.cap is not None and args.cap <= 0:
-        raise ConfigError("--cap must be positive")
+    # graphs and their algebras are shared across invocations, so the limit
+    # is set on each run, back to its default when its flag is absent
     if args.oracle_cap is not None and args.oracle_cap <= 0:
         raise ConfigError("--oracle-cap must be positive")
-    g.closure_cap = args.cap or DEFAULT_CLOSURE_CAP
     HeckeAlgebra.for_graph(g).element_cap = args.oracle_cap or DEFAULT_ELEMENT_CAP
     return g
 
 
-def _resolve_bound(args, graph: CoxeterGraph) -> int:
+def _resolve_bound(args, graph: CoxeterGraph, whole_group: bool) -> int:
+    """The --bound, else the longest length of the finite group.  Commands
+    that enumerate the whole group (whole_group) refuse groups larger than
+    DEFAULT_GROUP_CAP; the others only ever build fully commutative
+    elements."""
     if args.bound is not None:
         if args.bound < 0:
             raise ConfigError("--bound must be nonnegative")
         return args.bound
-    order = group_order(graph, DEFAULT_GROUP_CAP)
+    order = group_order(graph, DEFAULT_GROUP_CAP if whole_group else math.inf)
     if order is None:
-        raise ConfigError(
-            f"group is infinite or larger than {DEFAULT_GROUP_CAP} elements; "
-            "an explicit --bound is required")
+        larger = f" or larger than {DEFAULT_GROUP_CAP} elements" if whole_group else ""
+        raise ConfigError(f"group is infinite{larger}; an explicit --bound is required")
     return order[1]
 
 
@@ -109,7 +108,7 @@ def _trace_source(args, graph: CoxeterGraph):
 
 def cmd_basis(args) -> int:
     graph = _load_graph(args)
-    bound = _resolve_bound(args, graph)
+    bound = _resolve_bound(args, graph, whole_group=args.kl)
     alg = TLAlgebra.for_graph(graph)
     fc = list(enumerate_elements(graph, bound, fc_only=True))
     lines: list[str] = []
@@ -149,7 +148,6 @@ def cmd_basis(args) -> int:
 
 def cmd_mu(args) -> int:
     graph = _load_graph(args)
-    bound = _resolve_bound(args, graph)
     if args.methods == "all":
         methods = ("m", "oracle", "trace")
     else:
@@ -157,6 +155,7 @@ def cmd_mu(args) -> int:
     valid = {"m", "oracle", "trace"}
     if not methods or not set(methods) <= valid:
         raise ConfigError(f"--methods must name a subset of {sorted(valid)} or 'all'")
+    bound = _resolve_bound(args, graph, whole_group="oracle" in methods)
     source = _trace_source(args, graph) if "trace" in methods else None
     report = mu_report(graph, bound, methods, source)
     _emit(args, report.dump_tsv())
@@ -165,8 +164,8 @@ def cmd_mu(args) -> int:
 
 def cmd_verify(args) -> int:
     graph = _load_graph(args)
-    bound = _resolve_bound(args, graph)
     prop = args.property
+    bound = _resolve_bound(args, graph, whole_group=prop in ("S", "W"))
     if prop == "F":
         report = check_property_F(graph, bound)
     elif prop == "S":
@@ -183,7 +182,7 @@ def cmd_verify(args) -> int:
 
 def cmd_structure(args) -> int:
     graph = _load_graph(args)
-    bound = _resolve_bound(args, graph)
+    bound = _resolve_bound(args, graph, whole_group=args.kl_constants)
     lines = ["x\ty\tz\tcoeff\tnonneg"]
     if args.kl_constants:
         hk = HeckeAlgebra.for_graph(graph)
@@ -215,7 +214,7 @@ def cmd_structure(args) -> int:
 
 def cmd_tables(args) -> int:
     graph = _load_graph(args)
-    bound = _resolve_bound(args, graph)
+    bound = _resolve_bound(args, graph, whole_group=args.kl)
     if args.kl:
         tables = kl_tables(graph, bound)
         _emit(args, tables.dump_tsv())
@@ -231,7 +230,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound", type=int,
                    help="length bound (defaults to the full group when finite)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--cap", type=int, help="braid-closure size cap")
     p.add_argument("--oracle-cap", type=int, help="oracle support element cap")
     p.add_argument("--format", choices=["text", "tsv"], default="text")
 
@@ -284,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
     except (ConfigError, GraphError, TraceTableError, TraceGapError,
-            NonBipartiteGraph, ClosureCapExceeded, OracleCapExceeded,
+            NonBipartiteGraph, OracleCapExceeded,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

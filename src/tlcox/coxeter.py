@@ -15,29 +15,36 @@ word problems:
   heap, so the canonical word is the lex-least one, the descents are the
   labels of the minimal and maximal elements, and multiplying by a descent
   drops the first or last occurrence of that letter.
-- Every other word falls back to the closure under braid moves (two words
-  represent the same element iff they are connected by braid moves, and a
-  word is non-reduced iff some sequence of braid moves exposes an adjacent
-  equal pair).  The closure sets double as the sets of all reduced words,
-  which is what descents and multiplication read off for these elements.
+- Every other element goes through its roots in a reflection representation
+  (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4; Casselman,
+  Computation in Coxeter groups I, EJC 9, 2002).  With s(a_t) = a_t - a_st a_s
+  on the simple roots a_t, an element w is keyed by the roots w^-1(a_t) over
+  all generators t.  s is a left descent of w iff w^-1(a_s) is negative, the
+  key of s*w is w^-1(a_t) - a_st w^-1(a_s), which replays no word, and the
+  canonical word comes from stripping the least left descent until a known
+  key, memoized from key to word.  Right descents are the left descents of
+  the inverse.  The Cartan entries are integers for labels 2, 3, 4, 6 and
+  infinity (a_st a_ts = 0, 1, 2, 3 and 4); every other label m has
+  a_st = a_ts = -2cos(pi/m) in Z[c], c = 2cos(pi/M) for M the lcm of those
+  labels, with elements stored as integer vectors modulo the minimal
+  polynomial of c.  The zero test is exact; a float decides a sign only when
+  its error bound excludes zero, and interval bisection on a rational
+  bracket of c decides the rest.
 
 Generators are 0-based internally and rendered 1-based; the identity renders
-as `e`.  All canonical forms, closures and derived data are memoized on the
-graph instance, so equal queries are cheap and elements can be compared and
-hashed like values.
+as `e`.  Canonical forms and derived data are memoized on the graph
+instance, so equal queries are cheap and elements can be compared and hashed
+like values.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 INFINITE = math.inf
-
-DEFAULT_CLOSURE_CAP = 1_000_000
 
 FULLY_COMMUTATIVE = "fully_commutative"
 WEAKLY_COMPLEX = "weakly_complex"
@@ -50,22 +57,170 @@ class GraphError(ValueError):
     """Malformed graph description or preset name."""
 
 
-class ClosureCapExceeded(RuntimeError):
-    """A braid-move closure grew past the configured cap."""
+# -- the scalars of the root system ---------------------------------------------------
+
+
+def _dickson(k: int) -> list[int]:
+    """P_k with P_k(2cos x) = 2cos(kx), lowest coefficient first:
+    P_0 = 2, P_1 = x, P_{k+1} = x P_k - P_{k-1}."""
+    prev, cur = [2], [0, 1]
+    for _ in range(k):
+        nxt = [0] + cur
+        for i, a in enumerate(prev):
+            nxt[i] -= a
+        prev, cur = cur, nxt
+    return prev
+
+
+def _cyclotomic(n: int) -> list[int]:
+    """The cyclotomic polynomial Phi_n, lowest coefficient first: z^n - 1
+    divided by Phi_k for every proper divisor k of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for k in range(1, n):
+        if n % k == 0:
+            div = _cyclotomic(k)  # monic
+            quot = [0] * (len(poly) - len(div) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = q = poly[i + len(div) - 1]
+                for j, a in enumerate(div):
+                    poly[i + j] -= q * a
+            poly = quot
+    return poly
+
+
+def _cosine_minimal_polynomial(M: int) -> list[int]:
+    """The minimal polynomial Psi_M of 2cos(pi/M), lowest coefficient first,
+    read off Phi_2M(z) = z^d Psi_M(z + 1/z): Phi_2M is palindromic of degree
+    2d, and z^k + z^-k = P_k(z + 1/z)."""
+    phi = _cyclotomic(2 * M)
+    d = (len(phi) - 1) // 2
+    psi = [phi[d]] + [0] * d
+    for k in range(1, d + 1):
+        for i, a in enumerate(_dickson(k)):
+            psi[i] += phi[d + k] * a
+    return psi
+
+
+def _poly_value(poly: Sequence[int], x):
+    out = 0
+    for a in reversed(poly):
+        out = out * x + a
+    return out
+
+
+class _CosineRing:
+    """The ring Z[c], c = 2cos(pi/M), its elements integer tuples over the
+    basis 1, c, ..., c^(d-1), reduced modulo the minimal polynomial of c
+    (d = phi(2M)/2).  M = 2 gives c = 0 and d = 1: the integers."""
+
+    def __init__(self, M: int):
+        self.psi = _cosine_minimal_polynomial(M)  # monic of degree d
+        self.d = len(self.psi) - 1
+        self.M = M
+        self._c = 2 * math.cos(math.pi / M)
+        self._bracket = None
+
+    def reduce(self, poly: Sequence[int]) -> tuple[int, ...]:
+        """A polynomial in c, lowest coefficient first, as a ring element."""
+        d, psi = self.d, self.psi
+        poly = list(poly) + [0] * (d - len(poly))
+        for k in range(len(poly) - 1, d - 1, -1):
+            top = poly[k]
+            if top:
+                for i, a in enumerate(psi):
+                    poly[k - d + i] -= top * a
+        return tuple(poly[:d])
+
+    def cos_pi_over(self, m: int) -> tuple[int, ...]:
+        """2cos(pi/m) = P_{M/m}(c), for m dividing M."""
+        return self.reduce(_dickson(self.M // m))
+
+    def mul_entries(self, a: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+        """Multiplication by a, as the nonzero entries (i, j, v) of its
+        matrix: (a x)_i is the sum of v x_j."""
+        cols = [self.reduce([0] * j + list(a)) for j in range(self.d)]
+        return tuple((i, j, col[i]) for j, col in enumerate(cols)
+                     for i in range(self.d) if col[i])
+
+    def sign(self, x: Sequence[int]) -> int:
+        """The sign of the real number x(c), exactly."""
+        if not any(x[1:]):
+            return (x[0] > 0) - (x[0] < 0)
+        try:
+            val = mag = 0.0
+            power = 1.0
+            for a in x:
+                val += a * power
+                mag += abs(a) * power
+                power *= self._c
+        except OverflowError:
+            return self._exact_sign(x)
+        # c < 2 is within an ulp, so rounding moves val by less than
+        # d 2^-48 mag; for the degrees in use that is far below this bound
+        if abs(val) > mag * 2.0 ** -40:
+            return 1 if val > 0 else -1
+        return self._exact_sign(x)
+
+    def _exact_sign(self, x: Sequence[int]) -> int:
+        """Interval evaluation of x on a rational bracket of c, narrowed by
+        bisection on Psi_M until the interval excludes zero; x(c) is not
+        zero, since x is not and Psi_M is the minimal polynomial."""
+        from fractions import Fraction
+
+        psi = self.psi
+        if self._bracket is None:
+            # the other roots of Psi_M, 2cos(k pi/M) for odd k >= 3, lie at
+            # least 2cos(pi/M) - 2cos(3pi/M) = 4 sin(2pi/M) sin(pi/M) below c,
+            # which exceeds 2^-30 for M < 10^4: the bracket holds c alone
+            mid, half = Fraction(self._c), Fraction(1, 2 ** 40)
+            self._bracket = (mid - half, mid + half)
+            assert _poly_value(psi, mid - half) * _poly_value(psi, mid + half) < 0
+        lo, hi = self._bracket
+        lo_positive = _poly_value(psi, lo) > 0
+        while True:
+            # c > 1 and every power of c grows with c
+            low = sum(a * (lo if a > 0 else hi) ** i for i, a in enumerate(x))
+            high = sum(a * (hi if a > 0 else lo) ** i for i, a in enumerate(x))
+            if low > 0 or high < 0:
+                break
+            mid = (lo + hi) / 2
+            if (_poly_value(psi, mid) > 0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+        self._bracket = (lo, hi)
+        return 1 if low > 0 else -1
+
+
+def _cartan_entry(ring: _CosineRing, s: int, t: int, m: int | float) -> tuple[int, ...]:
+    """a_st, for s = t or m(s,t) > 2, with s(a_t) = a_t - a_st a_s, as an
+    element of the ring."""
+    if s == t:
+        a = 2
+    elif m == 3:
+        a = -1
+    elif m == 4:  # a_st a_ts = 2 = 4cos^2(pi/4)
+        a = -1 if s < t else -2
+    elif m == 6:  # a_st a_ts = 3 = 4cos^2(pi/6)
+        a = -1 if s < t else -3
+    elif m == INFINITE:
+        a = -2
+    else:
+        return tuple(-x for x in ring.cos_pi_over(m))
+    return (a,) + (0,) * (ring.d - 1)
 
 
 class CoxeterGraph:
     """A Coxeter graph with memoized word-problem machinery."""
 
     __slots__ = (
-        "bonds", "name", "closure_cap", "_nbrs", "_braids",
-        "_canon", "_closure", "_elements", "_identity", "_lmul", "_rmul",
+        "bonds", "name", "_nbrs", "_braids", "_ring", "_cartan", "_unit_key",
+        "_words", "_elements", "_identity", "_lmul", "_rmul",
         "_inverse", "_ldesc", "_rdesc", "_fc", "_bruhat", "_levels",
         "_level_complete",
     )
 
-    def __init__(self, bonds: Sequence[Sequence[int | float]], name: str | None = None,
-                 closure_cap: int = DEFAULT_CLOSURE_CAP):
+    def __init__(self, bonds: Sequence[Sequence[int | float]], name: str | None = None):
         bonds = tuple(tuple(row) for row in bonds)
         n = len(bonds)
         for i, row in enumerate(bonds):
@@ -82,13 +237,24 @@ class CoxeterGraph:
                         raise GraphError("bond matrix must be symmetric")
         self.bonds = bonds
         self.name = name
-        self.closure_cap = closure_cap
         # per generator: the generators it does not commute with, itself included
         self._nbrs = tuple(tuple(t for t in range(n) if bonds[s][t] != 2) for s in range(n))
         self._braids = tuple((s, t, bonds[s][t]) for s in range(n) for t in range(s + 1, n)
                              if 3 <= bonds[s][t] < INFINITE)
-        self._canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._closure: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+        # the root system: scalars in Z[2cos(pi/M)], M the lcm of the labels
+        # without integer Cartan entries (M = 2, the integers, when none)
+        irrational = {m for row in bonds for m in row if m not in (1, 2, 3, 4, 6, INFINITE)}
+        ring = self._ring = _CosineRing(math.lcm(*irrational) if irrational else 2)
+        # per generator s: (t, matrix entries of a_st) for every a_st != 0
+        self._cartan = tuple(
+            tuple((t, ring.mul_entries(_cartan_entry(ring, s, t, bonds[s][t])))
+                  for t in self._nbrs[s])
+            for s in range(n))
+        unit = [0] * (n * n * ring.d)
+        for t in range(n):
+            unit[(t * n + t) * ring.d] = 1
+        self._unit_key = tuple(unit)
+        self._words: dict[tuple[int, ...], tuple[int, ...]] = {self._unit_key: ()}
         self._elements: dict[tuple[int, ...], GroupElement] = {}
         self._identity: GroupElement | None = None
         self._lmul: dict[tuple[int, tuple[int, ...]], GroupElement] = {}
@@ -138,72 +304,89 @@ class CoxeterGraph:
 
     # -- canonical words ------------------------------------------------------
 
-    def _braid_variants(self, word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        bonds = self.bonds
-        n = len(word)
-        for i in range(n - 1):
-            s, t = word[i], word[i + 1]
-            if s == t:
-                continue
-            m = bonds[s][t]
-            if m == INFINITE or i + m > n:
-                continue
-            for k in range(2, m):
-                if word[i + k] != (s if k % 2 == 0 else t):
-                    break
-            else:
-                repl = tuple(t if k % 2 == 0 else s for k in range(m))
-                yield word[:i] + repl + word[i + m:]
-
-    def _scan(self, start: tuple[int, ...]):
-        """BFS over braid moves; returns (reduced?, all words seen, shorter word)."""
-        seen = {start}
-        queue = deque([start])
-        cap = self.closure_cap
-        while queue:
-            u = queue.popleft()
-            for i in range(len(u) - 1):
-                if u[i] == u[i + 1]:
-                    return False, seen, u[:i] + u[i + 2:]
-            for var in self._braid_variants(u):
-                if var not in seen:
-                    seen.add(var)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(
-                            f"braid closure of a word of length {len(start)} exceeded "
-                            f"{cap} words; raise the cap to proceed")
-                    queue.append(var)
-        return True, seen, None
-
     def normal_form_word(self, word: Iterable[int]) -> tuple[int, ...]:
         word = tuple(word)
         for s in word:
             if not 0 <= s < self.rank:
                 raise ValueError(f"generator index {s} out of range for rank {self.rank}")
-        cached = self._canon.get(word)
-        if cached is not None:
-            return cached
-        pending: list[set[tuple[int, ...]]] = []
-        current = word
-        while True:
-            cached = self._canon.get(current)
-            if cached is not None:
-                canon = cached
-                break
-            canon = self.fc_normal_form_word(current)
-            if canon is not None:
-                break
-            reduced, seen, shorter = self._scan(current)
-            pending.append(seen)
-            if reduced:
-                canon = min(seen)
-                self._closure.setdefault(canon, frozenset(seen))
-                break
-            current = shorter
-        for seen in pending:
-            for u in seen:
-                self._canon[u] = canon
+        canon = self.fc_normal_form_word(word)
+        if canon is None:
+            canon = self._word_of(self._replay(word))
         return canon
+
+    # -- roots --------------------------------------------------------------------
+
+    # A key is the flat tuple of the roots w^-1(a_t), t = 0..n-1, each root n
+    # coordinates over the simple roots, each coordinate d integers in Z[c].
+
+    def _lmul_roots(self, s: int, key: tuple[int, ...]) -> tuple[int, ...]:
+        """The key of s*w from the key of w: (sw)^-1(a_t) = w^-1(a_t) - a_st w^-1(a_s)."""
+        d = self._ring.d
+        nd = self.rank * d
+        col = key[s * nd:(s + 1) * nd]
+        out = list(key)
+        for t, entries in self._cartan[s]:
+            b = t * nd
+            for i, j, a in entries:
+                out[b + i:b + nd:d] = [x - a * y for x, y in zip(out[b + i:b + nd:d], col[j::d])]
+        return tuple(out)
+
+    def _rmul_roots(self, key: tuple[int, ...], s: int) -> tuple[int, ...]:
+        """The key of w*s from the key of w: (ws)^-1(a_t) = s(w^-1(a_t)), and s
+        changes only the a_s coordinate v_s of a root v, by -sum_u a_su v_u."""
+        d = self._ring.d
+        nd = self.rank * d
+        out = list(key)
+        for u, entries in self._cartan[s]:
+            for i, j, a in entries:
+                at = s * d + i
+                out[at::nd] = [x - a * y for x, y in zip(out[at::nd], key[u * d + j::nd])]
+        return tuple(out)
+
+    def _negative(self, key: tuple[int, ...], t: int) -> bool:
+        """Whether the root w^-1(a_t) is negative.  The coordinates of a root
+        all have one sign, so its first nonzero coordinate decides."""
+        d = self._ring.d
+        nd = self.rank * d
+        for u in range(t * nd, (t + 1) * nd, d):
+            x = key[u:u + d]
+            if any(x):
+                return self._ring.sign(x) < 0
+        raise AssertionError("a root is never zero")
+
+    def _replay(self, word: Sequence[int]) -> tuple[int, ...]:
+        key = self._unit_key
+        for s in reversed(word):
+            key = self._lmul_roots(s, key)
+        return key
+
+    def _word_of(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """The canonical word of the element with this key: the least left
+        descent, then the canonical word of what stripping it leaves.
+        Memoized from key to word; the identity's key is known."""
+        words = self._words
+        word = words.get(key)
+        path = []
+        while word is None:
+            s = next(t for t in range(self.rank) if self._negative(key, t))
+            path.append((key, s))
+            key = self._lmul_roots(s, key)
+            word = words.get(key)
+        for key, s in reversed(path):
+            word = (s,) + word
+            words[key] = word
+        return word
+
+    def _roots(self, w: "GroupElement") -> tuple[int, ...]:
+        if w.roots is None:
+            w.roots = self._replay(w.word)
+            self._words.setdefault(w.roots, w.word)
+        return w.roots
+
+    def _from_roots(self, key: tuple[int, ...]) -> "GroupElement":
+        el = self._intern(self._word_of(key))
+        el.roots = key
+        return el
 
     # -- heaps --------------------------------------------------------------------
 
@@ -287,13 +470,16 @@ class CoxeterGraph:
             left ^= 1 << i
         return tuple(out)
 
-    def element(self, word: Iterable[int] = ()) -> GroupElement:
-        canon = self.normal_form_word(word)
-        el = self._elements.get(canon)
+    def _intern(self, word: tuple[int, ...]) -> GroupElement:
+        el = self._elements.get(word)
         if el is None:
-            el = GroupElement(self, canon)
-            self._elements[canon] = el
+            el = self._elements[word] = GroupElement(self, word)
         return el
+
+    def element(self, word: Iterable[int] = ()) -> GroupElement:
+        word = tuple(word)
+        el = self._elements.get(word)  # already a canonical word
+        return el if el is not None else self._intern(self.normal_form_word(word))
 
     @property
     def identity(self) -> GroupElement:
@@ -302,14 +488,13 @@ class CoxeterGraph:
         return self._identity
 
     def reduced_words(self, w: "GroupElement") -> frozenset[tuple[int, ...]]:
-        """All reduced words for w (the braid-move closure of its canonical word)."""
-        got = self._closure.get(w.word)
-        if got is None:
-            reduced, seen, _ = self._scan(w.word)
-            assert reduced
-            got = frozenset(seen)
-            self._closure[w.word] = got
-        return got
+        """All reduced words for w: s.u for every left descent s of w and
+        every reduced word u of s*w.  Not memoized; there are exponentially
+        many."""
+        if not w.word:
+            return frozenset({()})
+        return frozenset((s,) + u for s in self.left_descents(w)
+                         for u in self.reduced_words(self.lmul(s, w)))
 
     # -- multiplication ---------------------------------------------------------
 
@@ -318,13 +503,15 @@ class CoxeterGraph:
         key = (s, w.word)
         got = self._lmul.get(key)
         if got is None:
-            if s not in self.left_descents(w):
-                got = self.element((s,) + w.word)
-            elif self.is_fully_commutative(w):
+            if not self.is_fully_commutative(w):
+                got = self._from_roots(self._lmul_roots(s, self._roots(w)))
+                if len(got.word) > len(w.word):  # w is a factor: not FC either
+                    self._fc.setdefault(got.word, None)
+            elif s in self.left_descents(w):
                 i = w.word.index(s)
                 got = self.element(w.word[:i] + w.word[i + 1:])
             else:
-                got = self.element(min(u[1:] for u in self.reduced_words(w) if u[0] == s))
+                got = self.element((s,) + w.word)
             self._lmul[key] = got
         return got
 
@@ -332,13 +519,13 @@ class CoxeterGraph:
         key = (w.word, s)
         got = self._rmul.get(key)
         if got is None:
-            if s not in self.right_descents(w):
-                got = self.element(w.word + (s,))
-            elif self.is_fully_commutative(w):
+            if not self.is_fully_commutative(w):
+                got = self._from_roots(self._rmul_roots(self._roots(w), s))
+            elif s in self.right_descents(w):
                 i = len(w.word) - 1 - w.word[::-1].index(s)
                 got = self.element(w.word[:i] + w.word[i + 1:])
             else:
-                got = self.element(min(u[:-1] for u in self.reduced_words(w) if u[-1] == s))
+                got = self.element(w.word + (s,))
             self._rmul[key] = got
         return got
 
@@ -364,7 +551,8 @@ class CoxeterGraph:
                 down, _ = self.heap(w.word)  # the labels of the minimal elements
                 got = frozenset(a for a, d in zip(w.word, down) if d.bit_count() == 1)
             else:
-                got = frozenset(u[0] for u in self.reduced_words(w))
+                key = self._roots(w)
+                got = frozenset(t for t in self.generators() if self._negative(key, t))
             self._ldesc[w.word] = got
         return got
 
@@ -375,7 +563,7 @@ class CoxeterGraph:
                 _, up = self.heap(w.word)  # the labels of the maximal elements
                 got = frozenset(a for a, u in zip(w.word, up) if u.bit_count() == 1)
             else:
-                got = frozenset(u[-1] for u in self.reduced_words(w))
+                got = self.left_descents(self.inverse(w))
             self._rdesc[w.word] = got
         return got
 
@@ -452,12 +640,13 @@ class GroupElement:
     equality checks in hot paths are usually identity checks.
     """
 
-    __slots__ = ("graph", "word", "_hash")
+    __slots__ = ("graph", "word", "_hash", "roots")
 
     def __init__(self, graph: CoxeterGraph, word: tuple[int, ...]):
         self.graph = graph
         self.word = word
         self._hash = hash(word)
+        self.roots: tuple[int, ...] | None = None  # the key, once the root route needs it
 
     @property
     def length(self) -> int:

@@ -126,6 +126,7 @@ class HeckeAlgebra:
                 rest = self.bar_basis(self.graph.element(w.word[1:]))
                 cached = self.lmul(w.word[0], rest)
                 acc(cached, rest, -V_MINUS_VINV)
+            self._check_cap(len(self._bar) + 1)  # each entry, not after the solve
             self._bar[w] = cached
         return cached
 
@@ -140,7 +141,6 @@ class HeckeAlgebra:
         cached = self._kl.get(w)
         if cached is None:
             cached = bar_solve(w, self.bar_basis)
-            self._check_cap(len(self._bar))
             self._kl[w] = cached
         return cached
 

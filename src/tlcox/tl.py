@@ -659,19 +659,22 @@ def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
     for w in fc:
         for y, c in alg.cbasis(w).items():
             p_star[(y, w)] = c
-    # invert the unitriangular matrix: columns of the inverse, top down
+    # invert the unitriangular matrix: columns of the inverse, top down.
+    # col[z] = -sum over y above z of p*(z, y) col[y]; each finished col[y]
+    # is pushed through the support of cbasis(y) into the pending sums, so
+    # only nonzero p* entries are visited (the diagonal entry lands on y,
+    # which the walk has passed)
     q_star: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
     for wi, w in enumerate(fc):
         col: Coords = {w: ONE}
+        pending: Coords = {}
+        acc(pending, alg.cbasis(w))
         for zi in range(wi - 1, -1, -1):
             z = fc[zi]
-            total = ZERO
-            for y, xy in col.items():
-                pzy = p_star.get((z, y))
-                if pzy is not None and y != z:
-                    total = total + pzy * xy
+            total = pending.pop(z, None)
             if total:
                 col[z] = -total
+                acc(pending, alg.cbasis(z), col[z])
         sign_w = w.length % 2
         for z, val in col.items():
             if (z.length + sign_w) % 2:

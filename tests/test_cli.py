@@ -176,11 +176,25 @@ def test_config_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_fully_commutative_commands_skip_the_group_cap(capsys):
+    # E6 has 51,840 elements, past the group cap, but F reads only its 662
+    # fully commutative elements; the whole-group checks still refuse it
+    code, out, _ = run_cli(capsys, "verify", "F", "--preset", "E6")
+    assert code == 0
+    assert run_cli(capsys, "verify", "F", "--preset", "E6", "--bound", "36") == (0, out, "")
+    code, _, err = run_cli(capsys, "verify", "S", "--preset", "E6")
+    assert code == 2 and "--bound" in err
+
+
+def test_removed_cap_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--preset", "A3", "--cap", "2"])
+    assert exc.value.code == 2
+
+
 def test_limits_do_not_leak_between_invocations(monkeypatch, capsys):
     # presets and their algebras are shared in one process; a limit given
-    # to one run must not bind the next run, which omits the flag.  Fresh
-    # presets, so that the braid closures are not already memoized; the
-    # --cap legs run the oracle, which closes non-fully-commutative words.
+    # to one run must not bind the next run, which omits the flag.
     import tlcox.coxeter as coxeter_mod
 
     monkeypatch.setattr(coxeter_mod, "_PRESET_CACHE", {})
@@ -188,10 +202,6 @@ def test_limits_do_not_leak_between_invocations(monkeypatch, capsys):
                            "--kl", "--oracle-cap", "3")
     assert code == 2 and "cap" in err
     code, out, _ = run_cli(capsys, "tables", "--preset", "A4", "--bound", "3", "--kl")
-    assert code == 0 and out.startswith("y\tw\tP\tmu\n")
-    code, _, err = run_cli(capsys, "tables", "--preset", "A3", "--kl", "--cap", "2")
-    assert code == 2 and "cap" in err
-    code, out, _ = run_cli(capsys, "tables", "--preset", "A3", "--kl")
     assert code == 0 and out.startswith("y\tw\tP\tmu\n")
 
 

@@ -8,8 +8,6 @@ from tlcox.coxeter import (
     FULLY_COMMUTATIVE,
     INFINITE,
     WEAKLY_COMPLEX,
-    ClosureCapExceeded,
-    CoxeterGraph,
     GraphError,
     bruhat_leq,
     classify,
@@ -138,12 +136,6 @@ def test_length_changes_by_one():
         for w in enumerate_elements(g, 4):
             for s in g.generators():
                 assert abs(g.lmul(s, w).length - w.length) == 1
-
-
-def test_closure_cap():
-    g = CoxeterGraph(preset("A4").bonds, closure_cap=5)
-    with pytest.raises(ClosureCapExceeded):
-        g.element([0, 1, 2, 3, 0, 1, 2, 0, 1, 0])
 
 
 # -- descents -----------------------------------------------------------------------

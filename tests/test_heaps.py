@@ -1,20 +1,20 @@
 """Fully commutative elements through heaps, against the braid closure.
 
-The reference below is the closure word problem on its own: canonical words
-are the least words of the braid-move closure, descents and products by a
-generator are read off all reduced words, full commutativity is the absence
-of an alternating braid factor in every reduced word, and the fully
-commutative elements are grown level by level with that test.  It runs on a
-separate graph instance, so no memo is shared with the heap route."""
+The reference (`braid_closure.ClosureRoute`) is the closure word problem on
+its own: canonical words are the least words of the braid-move closure,
+descents and products by a generator are read off all reduced words, full
+commutativity is the absence of an alternating braid factor in every
+reduced word, and the fully commutative elements are grown level by level
+with that test.  It shares no memo with the heap route."""
 
 import math
 import random
 
 import pytest
 
+from braid_closure import ClosureRoute
 from tlcox.coxeter import (
     CoxeterGraph,
-    INFINITE,
     decompose_fc_prefix,
     enumerate_elements,
     normal_form,
@@ -32,85 +32,10 @@ def fresh(name):
     return CoxeterGraph(bonds)
 
 
-class ClosureRoute:
-    def __init__(self, bonds):
-        self.g = CoxeterGraph(bonds)
-
-    def closure(self, word):
-        reduced, seen, _ = self.g._scan(tuple(word))
-        assert reduced
-        return seen
-
-    def normal_form(self, word):
-        word = tuple(word)
-        while True:
-            reduced, seen, shorter = self.g._scan(word)
-            if reduced:
-                return min(seen)
-            word = shorter
-
-    def is_fc(self, word):
-        bonds = self.g.bonds
-        for u in self.closure(word):
-            for i in range(len(u) - 1):
-                s, t = u[i], u[i + 1]
-                m = bonds[s][t]
-                if m == 2 or m == INFINITE or i + m > len(u):
-                    continue
-                if all(u[i + k] == (s if k % 2 == 0 else t) for k in range(m)):
-                    return False
-        return True
-
-    def left_descents(self, word):
-        return {u[0] for u in self.closure(word)} if word else set()
-
-    def right_descents(self, word):
-        return {u[-1] for u in self.closure(word)} if word else set()
-
-    def lmul(self, s, word):
-        if s in self.left_descents(word):
-            return min(u[1:] for u in self.closure(word) if u[0] == s)
-        return self.normal_form((s,) + word)
-
-    def rmul(self, word, s):
-        if s in self.right_descents(word):
-            return min(u[:-1] for u in self.closure(word) if u[-1] == s)
-        return self.normal_form(word + (s,))
-
-    def fc_levels(self, bound):
-        levels = [[()]]
-        while len(levels) <= bound:
-            nxt = set()
-            for w in levels[-1]:
-                for s in range(self.g.rank):
-                    if s not in self.left_descents(w):
-                        sw = self.normal_form((s,) + w)
-                        if self.is_fc(sw):
-                            nxt.add(sw)
-            if not nxt:
-                break
-            levels.append(sorted(nxt))
-        return [w for level in levels for w in level]
-
-    def decompose_fc_prefix(self, word, s):
-        """The factorization read off the least reduced word that has one."""
-        bonds = self.g.bonds
-        for u in sorted(self.closure(word)):
-            for i, t in enumerate(u):
-                m = bonds[s][t]
-                if 3 <= m < INFINITE and i + m - 1 <= len(u):
-                    if all(u[i + k] == (t if k % 2 == 0 else s) for k in range(m - 1)):
-                        return (self.normal_form(u[:i]), u[i:i + m - 1],
-                                self.normal_form(u[i + m - 1:]), t)
-                if bonds[t][s] != 2:
-                    break
-        raise AssertionError("no factorization")
-
-
 def old_n_stat(ref, word):
     """The windows definition: longest factor of distinct commuting letters
     in any reduced word."""
-    bonds = ref.g.bonds
+    bonds = ref.bonds
     best = 0
     for u in ref.closure(word):
         for i in range(len(u)):
@@ -136,7 +61,7 @@ def test_heap_route_matches_closure(name, fc_bound, all_bound):
     g = fresh(name)
     ref = ClosureRoute(g.bonds)
     fc = list(enumerate_elements(g, fc_bound, fc_only=True))
-    assert [w.word for w in fc] == ref.fc_levels(fc_bound)
+    assert [w.word for w in fc] == ref.levels(fc_bound, fc_only=True)
     for w in fc:
         assert w.is_fully_commutative()
         assert w.left_descents() == ref.left_descents(w.word)
@@ -187,19 +112,18 @@ def test_fully_commutative_counts(name, count):
 
 @pytest.mark.parametrize("name,bound,fc_count", [("B4", 16, 83), ("~C3", 9, 178)])
 def test_fc_tables_build_no_closure(monkeypatch, name, bound, fc_count):
-    scans = []
-    original = CoxeterGraph._scan
-
-    def counting_scan(self, start):
-        scans.append(start)
-        return original(self, start)
-
-    monkeypatch.setattr(CoxeterGraph, "_scan", counting_scan)
+    # the quotient never needs the word problem of the full group: no root
+    # is computed, and no element that is not fully commutative is built
+    calls = []
+    for attr in ("_lmul_roots", "_rmul_roots"):
+        original = getattr(CoxeterGraph, attr)
+        monkeypatch.setattr(CoxeterGraph, attr,
+                            lambda self, *args, _f=original: calls.append(args) or _f(self, *args))
     monkeypatch.setattr(TLAlgebra, "_instances", {})
     g = fresh(name)
     tables = coeff_tables(g, bound)
     assert len(tables.elements) == fc_count
-    assert scans == [] and not g._closure
+    assert calls == [] and len(g._words) == 1
     # only fully commutative elements were ever built
     assert len(g._elements) == fc_count
     assert all(w.is_fully_commutative() for w in g._elements.values())

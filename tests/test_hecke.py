@@ -351,6 +351,17 @@ def test_oracle_cap():
         alg._check_cap(10)
 
 
+def test_oracle_cap_is_enforced_before_the_work():
+    # the longest element of A3 has all 24 elements below it; the cap stops
+    # the bar expansions as they reach it, not after the solve
+    g = preset("A3")
+    k = 5
+    alg = HeckeAlgebra(g, element_cap=k)
+    with pytest.raises(OracleCapExceeded):
+        alg.kl_basis(g.element((0, 1, 0, 2, 1, 0)))
+    assert len(alg._bar) <= k + 1
+
+
 def test_hecke_element_wrapper():
     a2 = preset("A2")
     s = HeckeElement.t_basis(a2.element((0,)))

@@ -1,0 +1,119 @@
+"""The root-system word problem against the braid closure.
+
+Every element up to a per-graph bound is built by `tlcox.coxeter` (heaps for
+fully commutative elements, roots for the rest) and by the braid-move
+closure of `braid_closure.ClosureRoute`, which shares no state with it; the
+two must give the same elements in the same order, the same canonical
+words, descents, products by each generator and sets of reduced words.
+The bounds stop where the closure gets expensive; the root route itself
+is pinned further out by the orders of whole finite groups."""
+
+import math
+import random
+
+import pytest
+
+from braid_closure import ClosureRoute
+from tlcox.coxeter import (
+    CoxeterGraph,
+    _CosineRing,
+    _cosine_minimal_polynomial,
+    enumerate_elements,
+    group_order,
+    normal_form,
+    parse_graph,
+    preset,
+)
+
+GRAPHS = {
+    "rank4": "rank 4\nedge 1 2 inf\nedge 2 3 5\nedge 3 4 4\n",
+    "bonds5,7": "rank 3\nedge 1 2 5\nedge 2 3 7\n",  # M = 35, d = 12
+}
+
+
+def fresh(name):
+    bonds = parse_graph(GRAPHS[name]).bonds if name in GRAPHS else preset(name).bonds
+    return CoxeterGraph(bonds)
+
+
+ROOT_CASES = [
+    ("A3", 6), ("A4", 10), ("A5", 8), ("B3", 9), ("B4", 11), ("D4", 12), ("D5", 8),
+    ("F4", 10), ("H3", 15), ("I2(5)", 5), ("I2(7)", 7), ("I2(8)", 8), ("~A2", 10),
+    ("~C3", 10), ("rank4", 8), ("bonds5,7", 10),
+]
+
+
+@pytest.mark.parametrize("name,bound", ROOT_CASES)
+def test_root_route_matches_closure(name, bound):
+    g = fresh(name)
+    ref = ClosureRoute(g.bonds)
+    els = list(enumerate_elements(g, bound))
+    assert [w.word for w in els] == ref.levels(bound)
+    for w in els:
+        # the root machinery on its own, fully commutative elements included
+        key = g._replay(w.word)
+        assert g._word_of(key) == w.word
+        assert {t for t in g.generators() if g._negative(key, t)} == ref.left_descents(w.word)
+        assert w.left_descents() == ref.left_descents(w.word)
+        assert w.right_descents() == ref.right_descents(w.word)
+        assert g.reduced_words(w) == ref.closure(w.word)
+        for s in g.generators():
+            assert g.lmul(s, w).word == ref.lmul(s, w.word), (w, s)
+            assert g.rmul(w, s).word == ref.rmul(w.word, s), (w, s)
+    # random words on a fresh instance, then down to the identity by left
+    # descents, so that elements are met before their left factors
+    h = fresh(name)
+    rng = random.Random(name)
+    shorter = 0
+    for _ in range(100):
+        word = [rng.randrange(h.rank) for _ in range(rng.randint(0, bound + 2))]
+        w = normal_form(h, word)
+        assert w.word == ref.normal_form(word), word
+        shorter += len(w.word) < len(word)
+        while w.word:
+            assert w.is_fully_commutative() == ref.is_fc(w.word), w
+            w = h.lmul(min(w.left_descents()), w)
+    assert shorter >= 20  # many of the words are not reduced
+
+
+@pytest.mark.parametrize("name,order,longest", [
+    ("A5", 720, 15), ("B4", 384, 16), ("D5", 1920, 20), ("F4", 1152, 24), ("H3", 120, 15),
+])
+def test_whole_group_orders(name, order, longest):
+    g = fresh(name)
+    els = list(enumerate_elements(g, 200))  # the levels run out by themselves
+    assert len(els) == order and els[-1].length == longest
+    assert group_order(g, math.inf) == (order, longest)
+    w0 = els[-1]  # the longest element: every generator is a descent on both sides
+    assert w0.left_descents() == w0.right_descents() == frozenset(g.generators())
+
+
+def test_minimal_polynomials_of_cosines():
+    assert _cosine_minimal_polynomial(5) == [-1, -1, 1]
+    assert _cosine_minimal_polynomial(7) == [1, -2, -1, 1]
+    for M in (5, 7, 8, 9, 12, 35):
+        ring = _CosineRing(M)
+        assert ring.d == sum(1 for k in range(1, 2 * M) if math.gcd(k, 2 * M) == 1) // 2
+        c = 2 * math.cos(math.pi / M)
+        for m in (k for k in range(2, M + 1) if M % k == 0):
+            value = sum(a * c ** i for i, a in enumerate(ring.cos_pi_over(m)))
+            assert abs(value - 2 * math.cos(math.pi / m)) < 1e-9
+
+
+def test_sign_falls_back_to_exact_bisection(monkeypatch):
+    # F_{k+1} - F_k phi = (-1/phi)^k for phi = 2cos(pi/5): its float value is
+    # lost in rounding long before k = 60, so the sign must come from the
+    # interval bisection
+    ring = _CosineRing(5)
+    calls = []
+    exact = _CosineRing._exact_sign
+    monkeypatch.setattr(_CosineRing, "_exact_sign",
+                        lambda self, x: calls.append(x) or exact(self, x))
+    fib = [0, 1]
+    while len(fib) < 130:
+        fib.append(fib[-1] + fib[-2])
+    for k in (60, 61, 100, 101, 127):
+        assert ring.sign((fib[k + 1], -fib[k])) == (-1) ** k
+    assert len(calls) == 5
+    assert ring.sign((0, 0)) == 0 and ring.sign((3, 0)) == 1 and ring.sign((-1, 1)) == 1
+    assert ring.sign((1, -1)) == -1 and len(calls) == 5
