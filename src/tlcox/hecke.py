@@ -3,8 +3,9 @@
 The scaled standard basis is indexed by all group elements (not only the
 fully commutative ones) and multiplication never leaves it, so everything
 here is plain unitriangular linear algebra: the bar involution by inverting
-generators, the bar-invariant basis by the same triangular solve as the
-quotient, and the classical polynomials read off from its coefficients.
+generators, the bar-invariant basis and its products by the Kazhdan-Lusztig
+recursion and mu-rule (Invent. Math. 53, 1979) rather than the quotient's
+triangular solve, and the classical polynomials read off from its coefficients.
 The projection onto the quotient rewrites each standard basis element into
 the fully commutative basis through the quotient's multiplication kernel;
 its kernel is the defining ideal, which gives the ideal-membership test.
@@ -23,8 +24,8 @@ from .coxeter import (
     enumerate_elements,
     format_element,
 )
-from .laurent import ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, format_terms
-from .tl import Coords, TLAlgebra, acc, bar_solve, left_action_product
+from .laurent import DELTA, ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, format_terms
+from .tl import Coords, TLAlgebra, acc, left_action_product
 
 DEFAULT_ELEMENT_CAP = 50_000
 
@@ -126,7 +127,7 @@ class HeckeAlgebra:
                 rest = self.bar_basis(self.graph.element(w.word[1:]))
                 cached = self.lmul(w.word[0], rest)
                 acc(cached, rest, -V_MINUS_VINV)
-            self._check_cap(len(self._bar) + 1)  # each entry, not after the solve
+            self._check_cap(len(self._bar) + 1)  # each entry, before it is kept
             self._bar[w] = cached
         return cached
 
@@ -137,10 +138,22 @@ class HeckeAlgebra:
         return out
 
     def kl_basis(self, w: GroupElement) -> Coords:
-        """The bar-invariant basis element over w, in standard coordinates."""
+        """The bar-invariant basis element over w, in standard coordinates:
+        C'_w = C'_s C'_w' - sum over z != w of kl_lgen(s, w')[z] C'_z, with s the
+        least left descent of w (the first letter of its word) and w' = s w."""
         cached = self._kl.get(w)
         if cached is None:
-            cached = bar_solve(w, self.bar_basis)
+            if not w.word:
+                cached = self.unit()
+            else:
+                s, wp = w.word[0], self.graph.element(w.word[1:])
+                cp = self.kl_basis(wp)
+                cached = self.lmul(s, cp)
+                acc(cached, cp, V_INV)
+                for z, a in self.kl_lgen(s, wp).items():
+                    if z != w:
+                        acc(cached, self.kl_basis(z), -a)
+            self._check_cap(len(self._kl) + 1)  # each entry, before it is kept
             self._kl[w] = cached
         return cached
 
@@ -190,35 +203,21 @@ class HeckeAlgebra:
 
     # -- products in bar-invariant coordinates ---------------------------------------------
 
-    def to_kl(self, coords: Coords) -> Coords:
-        """Standard coordinates -> bar-invariant basis coordinates (greedy
-        unitriangular elimination from the top)."""
-        rem = dict(coords)
-        out: Coords = {}
-        while rem:
-            w = max(rem)
-            a = rem.pop(w)
-            out[w] = a
-            for y, c in self.kl_basis(w).items():
-                if y == w:
-                    continue
-                val = rem.get(y)
-                total = -a * c if val is None else val - a * c
-                if total:
-                    rem[y] = total
-                elif val is not None:
-                    del rem[y]
-        return out
-
     def kl_lgen(self, s: int, w: GroupElement) -> Coords:
-        """C'_s C'_w in bar-invariant coordinates, memoized on (s, w)."""
+        """C'_s C'_w in bar-invariant coordinates, memoized on (s, w), by the
+        mu-rule: (v + v^-1) C'_w if s is a left descent of w, else C'_sw plus
+        mu(z, w) C'_z for every z < w with s in L(z)."""
         key = (s, w)
         cached = self._klgen.get(key)
         if cached is None:
-            kw = self.kl_basis(w)
-            prod = self.lmul(s, kw)
-            acc(prod, kw, V_INV)
-            cached = self.to_kl(prod)
+            g = self.graph
+            if s in g.left_descents(w):
+                cached = {w: DELTA}
+            else:
+                cached = {g.lmul(s, w): ONE}
+                for z, c in self.kl_basis(w).items():
+                    if s in g.left_descents(z) and c.coeff(-1):
+                        cached[z] = LaurentPoly.const(c.coeff(-1))
             self._klgen[key] = cached
         return cached
 
@@ -307,15 +306,16 @@ class KLTables:
         return LaurentPoly.v(w.length - y.length) * self.p_star.get((y, w), ZERO)
 
     def dump_tsv(self) -> str:
+        pos = {w: i for i, w in enumerate(self.elements)}
+        columns: dict[GroupElement, list[GroupElement]] = {}
+        for y, w in self.p_star:
+            columns.setdefault(w, []).append(y)
+        names = {w: format_element(w) for w in self.elements}
         lines = ["y\tw\tP\tmu"]
         for w in self.elements:
-            for y in self.elements:
-                p = self.p_star.get((y, w))
-                if p is None:
-                    continue
-                lines.append(
-                    f"{format_element(y)}\t{format_element(w)}\t"
-                    f"{format_q(self.polynomial(y, w))}\t{self.mu.get((y, w), 0)}")
+            for y in sorted(columns.get(w, ()), key=pos.__getitem__):
+                lines.append(f"{names[y]}\t{names[w]}\t"
+                             f"{format_q(self.polynomial(y, w))}\t{self.mu.get((y, w), 0)}")
         return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from tlcox.cli import main
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.hecke import HeckeAlgebra, kl_tables
 from tlcox.laurent import ONE, ZERO, LaurentPoly, delta_power
@@ -69,6 +70,17 @@ def test_criterion_02_m_equals_mu(name, bound):
         for x in fc:
             assert tl.m_coeff(x, w) == oracle.mu(x, w), (name, x, w)
     _passed(2, f"M = mu on all {len(fc)}^2 fully commutative pairs of {name}")
+
+
+@pytest.mark.parametrize("name,rows", [("D5", 14028), ("B5", 43071)])
+def test_criterion_02_m_equals_mu_on_whole_groups(name, rows, capsys):
+    # the CLI's mu table on every fully commutative pair of the whole group
+    assert main(["mu", "--preset", name, "--methods", "m,oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x\ty\tmu_trace\tmu_oracle\tM_tl\tagree"
+    assert len(lines) == rows + 1
+    assert all(ln.endswith("\ttrue") for ln in lines[1:])
+    _passed(2, f"M = mu on all {rows} fully commutative pairs of {name}")
 
 
 @pytest.mark.parametrize("name,bound", [("A2", 3), ("A3", 6), ("A4", 10)])

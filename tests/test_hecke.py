@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from test_roots import fresh
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.hecke import (
     HeckeAlgebra,
@@ -11,7 +12,7 @@ from tlcox.hecke import (
     kl_tables,
 )
 from tlcox.laurent import DELTA, ONE, V_MINUS_VINV, ZERO, LaurentPoly
-from tlcox.tl import TLAlgebra, acc
+from tlcox.tl import TLAlgebra, acc, bar_solve
 
 V = LaurentPoly.v
 
@@ -99,6 +100,20 @@ def test_kl_solve_order_independent():
         alg = HeckeAlgebra.for_graph(g)
         for w in enumerate_elements(g, 5):
             assert alg.kl_basis(w) == _bar_solve_reordered(alg, w)
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("A4", 10), ("D4", 12), ("H3", 15), ("I2(5)", 5), ("I2(7)", 7), ("B4", 10),
+    ("F4", 8), ("D5", 7), ("~A2", 8), ("~C3", 7), ("rank4", 6), ("bonds5,7", 7),
+])
+def test_kl_recursion_matches_bar_solve(name, bound):
+    # the Kazhdan-Lusztig recursion against the quotient's triangular solve
+    # on the full group's bar expansions; longest first, so that the
+    # recursion starts cold, on a fresh graph and algebra
+    g = fresh(name)
+    alg = HeckeAlgebra(g)
+    for w in reversed(list(enumerate_elements(g, bound))):
+        assert alg.kl_basis(w) == bar_solve(w, alg.bar_basis), (name, w)
 
 
 def test_mu_tilde_symmetric_lookup():
@@ -346,20 +361,20 @@ def test_oracle_cap():
     alg = HeckeAlgebra(g, element_cap=3)
     with pytest.raises(OracleCapExceeded):
         kl_tables_small = alg.kl_basis(g.element((0, 1, 0, 2, 1, 0)))
-        alg._check_cap(len(alg._bar))
+        alg._check_cap(len(alg._kl))
     with pytest.raises(OracleCapExceeded):
         alg._check_cap(10)
 
 
 def test_oracle_cap_is_enforced_before_the_work():
     # the longest element of A3 has all 24 elements below it; the cap stops
-    # the bar expansions as they reach it, not after the solve
+    # the recursion as its entries reach it, not after the whole column
     g = preset("A3")
     k = 5
     alg = HeckeAlgebra(g, element_cap=k)
     with pytest.raises(OracleCapExceeded):
         alg.kl_basis(g.element((0, 1, 0, 2, 1, 0)))
-    assert len(alg._bar) <= k + 1
+    assert len(alg._kl) <= k + 1
 
 
 def test_hecke_element_wrapper():
