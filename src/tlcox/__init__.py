@@ -3,60 +3,32 @@ Temperley-Lieb quotients of Hecke algebras over arbitrary Coxeter graphs."""
 
 __version__ = "0.1.0"
 
-from .coxeter import (
-    CoxeterGraph,
-    GroupElement,
-    bruhat_leq,
-    classify,
-    coset_decompose,
-    enumerate_elements,
-    normal_form,
-    parse_element,
-    parse_graph,
-    preset,
-)
-from .hecke import HeckeAlgebra, HeckeElement, kl_tables
-from .laurent import DeltaPoly, LaurentPoly, parse_poly
-from .stars import (
-    bipartite_coloring,
-    check_property_F,
-    check_property_S,
-    k_epsilon,
-    n_stat,
-    star,
-    star_reduction_paths,
-)
-from .tl import (
-    TLAlgebra,
-    TLElement,
-    check_property_W,
-    coeff_tables,
-    dihedral_cbasis,
-    lattice_membership,
-)
-from .trace import (
-    PlanarDiagram,
-    TraceTable,
-    bilinear_form,
-    builtin_trace,
-    load_trace_table,
-    mu_from_trace,
-    mu_report,
-    trace_of,
-    verify_property_B,
-)
+# public name -> defining module; a module is imported on the first access to
+# one of its names (PEP 562), so importing the package compiles nothing else
+_EXPORTS = {
+    "coxeter": ("CoxeterGraph", "GroupElement", "bruhat_leq", "classify",
+                "coset_decompose", "enumerate_elements", "normal_form",
+                "parse_element", "parse_graph", "preset"),
+    "hecke": ("HeckeAlgebra", "HeckeElement", "kl_tables"),
+    "laurent": ("DeltaPoly", "LaurentPoly", "parse_poly"),
+    "stars": ("bipartite_coloring", "check_property_F", "check_property_S",
+              "k_epsilon", "n_stat", "star", "star_reduction_paths"),
+    "tl": ("TLAlgebra", "TLElement", "check_property_W", "coeff_tables",
+           "dihedral_cbasis", "lattice_membership"),
+    "trace": ("PlanarDiagram", "TraceTable", "bilinear_form", "builtin_trace",
+              "load_trace_table", "mu_from_trace", "mu_report", "trace_of",
+              "verify_property_B"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "CoxeterGraph", "GroupElement", "bruhat_leq", "classify", "coset_decompose",
-    "enumerate_elements", "normal_form", "parse_element", "parse_graph", "preset",
-    "HeckeAlgebra", "HeckeElement", "kl_tables",
-    "DeltaPoly", "LaurentPoly", "parse_poly",
-    "bipartite_coloring", "check_property_F", "check_property_S", "k_epsilon",
-    "n_stat", "star", "star_reduction_paths",
-    "TLAlgebra", "TLElement", "check_property_W", "coeff_tables",
-    "dihedral_cbasis", "lattice_membership",
-    "PlanarDiagram", "TraceTable", "bilinear_form", "builtin_trace",
-    "load_trace_table", "mu_from_trace", "mu_report", "trace_of",
-    "verify_property_B",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

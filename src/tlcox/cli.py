@@ -27,25 +27,10 @@ from .coxeter import (
     parse_graph,
     preset,
 )
-from .hecke import DEFAULT_ELEMENT_CAP, HeckeAlgebra, OracleCapExceeded, kl_tables
 from .stars import check_property_F, check_property_S
-from .tl import (
-    CanonicalRecursionError,
-    InternalConsistencyError,
-    TLAlgebra,
-    check_property_W,
-    coeff_tables,
-)
-from .trace import (
-    NonBipartiteGraph,
-    TraceGapError,
-    TraceTableError,
-    builtin_trace,
-    is_linear_bond3,
-    load_trace_table,
-    mu_report,
-    verify_property_B,
-)
+
+# `hecke`, `tl` and `trace` are imported by the commands that use them, so
+# start-up (and `tlcox --version`) compiles only what every command needs
 
 DEFAULT_GROUP_CAP = 50_000
 
@@ -63,12 +48,20 @@ def _load_graph(args) -> CoxeterGraph:
         g = parse_graph(Path(args.graph).read_text())
     else:
         raise ConfigError("one of --preset or --graph is required")
-    # graphs and their algebras are shared across invocations, so the limit
-    # is set on each run, back to its default when its flag is absent
     if args.oracle_cap is not None and args.oracle_cap <= 0:
         raise ConfigError("--oracle-cap must be positive")
-    HeckeAlgebra.for_graph(g).element_cap = args.oracle_cap or DEFAULT_ELEMENT_CAP
     return g
+
+
+def _oracle(args, graph: CoxeterGraph):
+    """The graph's full-group algebra with this run's element cap.  Graphs and
+    their algebras are shared across invocations, so every run that uses the
+    oracle sets the limit, back to its default when its flag is absent."""
+    from .hecke import DEFAULT_ELEMENT_CAP, HeckeAlgebra
+
+    alg = HeckeAlgebra.for_graph(graph)
+    alg.element_cap = args.oracle_cap or DEFAULT_ELEMENT_CAP
+    return alg
 
 
 def _resolve_bound(args, graph: CoxeterGraph, whole_group: bool) -> int:
@@ -95,6 +88,7 @@ def _emit(args, text: str) -> None:
 
 
 def _trace_source(args, graph: CoxeterGraph):
+    from .trace import builtin_trace, is_linear_bond3, load_trace_table
     if args.trace:
         table = load_trace_table(graph, Path(args.trace).read_text(),
                                  label=Path(args.trace).name)
@@ -107,6 +101,7 @@ def _trace_source(args, graph: CoxeterGraph):
 
 
 def cmd_basis(args) -> int:
+    from .tl import TLAlgebra
     graph = _load_graph(args)
     bound = _resolve_bound(args, graph, whole_group=args.kl)
     alg = TLAlgebra.for_graph(graph)
@@ -130,7 +125,7 @@ def cmd_basis(args) -> int:
                 lines.append(f"{cw[y].format()} * t[{format_element(y)}]")
             lines.append("")
     if args.kl:
-        hk = HeckeAlgebra.for_graph(graph)
+        hk = _oracle(args, graph)
         for w in enumerate_elements(graph, bound):
             klw = hk.kl_basis(w)
             if args.format == "tsv":
@@ -147,6 +142,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_mu(args) -> int:
+    from .trace import mu_report
     graph = _load_graph(args)
     if args.methods == "all":
         methods = ("m", "oracle", "trace")
@@ -156,6 +152,8 @@ def cmd_mu(args) -> int:
     if not methods or not set(methods) <= valid:
         raise ConfigError(f"--methods must name a subset of {sorted(valid)} or 'all'")
     bound = _resolve_bound(args, graph, whole_group="oracle" in methods)
+    if "oracle" in methods:
+        _oracle(args, graph)
     source = _trace_source(args, graph) if "trace" in methods else None
     report = mu_report(graph, bound, methods, source)
     _emit(args, report.dump_tsv())
@@ -171,8 +169,10 @@ def cmd_verify(args) -> int:
     elif prop == "S":
         report = check_property_S(graph, bound)
     elif prop == "W":
+        from .tl import check_property_W
         report = check_property_W(graph, bound)
     elif prop == "B":
+        from .trace import verify_property_B
         report = verify_property_B(graph, bound, _trace_source(args, graph))
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown property {prop!r}")
@@ -185,7 +185,7 @@ def cmd_structure(args) -> int:
     bound = _resolve_bound(args, graph, whole_group=args.kl_constants)
     lines = ["x\ty\tz\tcoeff\tnonneg"]
     if args.kl_constants:
-        hk = HeckeAlgebra.for_graph(graph)
+        hk = _oracle(args, graph)
         els = list(enumerate_elements(graph, bound))
         for x in els:
             for y in els:
@@ -198,6 +198,7 @@ def cmd_structure(args) -> int:
                     lines.append(f"{format_element(x)}\t{format_element(y)}\t"
                                  f"{format_element(z)}\t{cell}\t{str(ok).lower()}")
     else:
+        from .tl import TLAlgebra
         alg = TLAlgebra.for_graph(graph)
         fc = list(enumerate_elements(graph, bound, fc_only=True))
         for x in fc:
@@ -216,11 +217,13 @@ def cmd_tables(args) -> int:
     graph = _load_graph(args)
     bound = _resolve_bound(args, graph, whole_group=args.kl)
     if args.kl:
+        from .hecke import kl_tables
+        _oracle(args, graph)
         tables = kl_tables(graph, bound)
-        _emit(args, tables.dump_tsv())
     else:
+        from .tl import coeff_tables
         tables = coeff_tables(graph, bound)
-        _emit(args, tables.dump_tsv())
+    _emit(args, tables.dump_tsv())
     return 0
 
 
@@ -280,16 +283,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-    except (ConfigError, GraphError, TraceTableError, TraceGapError,
-            NonBipartiteGraph, OracleCapExceeded,
-            FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InternalConsistencyError, CanonicalRecursionError) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 3
-    return code
+        return args.func(args)
+    except Exception as exc:
+        from .hecke import OracleCapExceeded
+        from .tl import CanonicalRecursionError, InternalConsistencyError
+        from .trace import NonBipartiteGraph, TraceGapError, TraceTableError
+
+        if isinstance(exc, (ConfigError, GraphError, TraceTableError, TraceGapError,
+                            NonBipartiteGraph, OracleCapExceeded, FileNotFoundError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, (InternalConsistencyError, CanonicalRecursionError)):
+            print(f"internal consistency failure: {exc}", file=sys.stderr)
+            return 3
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -351,6 +351,19 @@ def parse_poly(text: str, var: str = "v") -> LaurentPoly:
     return LaurentPoly(parse_terms(text, var))
 
 
+def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """sum a*b over the pairs, accumulated in one coefficient dict."""
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b in pairs:
+        terms = b._c.items()
+        for ea, ca in a._c.items():
+            for eb, cb in terms:
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+    return LaurentPoly._raw({e: c for e, c in out.items() if c})
+
+
 _DELTA_POWERS: list[LaurentPoly] = []
 
 

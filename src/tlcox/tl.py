@@ -175,7 +175,6 @@ class TLAlgebra:
         self._cbasis: dict[GroupElement, Coords] = {}
         self._cbasis_rec: dict[GroupElement, Coords] = {}
         self._cgen: dict[tuple[int, GroupElement], Coords] = {}
-        self._tt: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._q: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
         self._alt: dict[tuple[int, int], Coords] = {}
@@ -254,24 +253,15 @@ class TLAlgebra:
             self._expand[w] = cached
         return cached
 
-    def tt_prod(self, x: GroupElement, y: GroupElement) -> Coords:
-        """t_x * t_y for basis elements, memoized."""
-        key = (x, y)
-        cached = self._tt.get(key)
-        if cached is None:
-            if not x.word:
-                cached = self.basis(y)
-            else:
-                rest = self.graph.element(x.word[1:])
-                cached = self.lmul(x.word[0], self.tt_prod(rest, y))
-            self._tt[key] = cached
-        return cached
-
     def t_mul(self, a: Coords, b: Coords) -> Coords:
+        """a * b in standard coordinates: each t_x of a acts on b letter by
+        letter, last letter first."""
         out: Coords = {}
         for x, cx in a.items():
-            for y, cy in b.items():
-                acc(out, self.tt_prod(x, y), cx * cy)
+            prod = b
+            for s in reversed(x.word):
+                prod = self.lmul(s, prod)
+            acc(out, prod, cx)
         return out
 
     # -- bar involution -------------------------------------------------------------

@@ -23,7 +23,7 @@ from .coxeter import (
     format_element,
     parse_element,
 )
-from .laurent import ONE, ZERO, LaurentPoly, delta_power, parse_poly
+from .laurent import ONE, ZERO, LaurentPoly, delta_power, lincomb, parse_poly
 from .stars import bipartite_coloring
 from .tl import Coords, TLAlgebra, TLElement
 
@@ -292,7 +292,7 @@ def builtin_trace(graph: CoxeterGraph) -> BuiltinTrace:
 
 class TraceEvaluator:
     """Linear extension of a trace source to arbitrary algebra elements, with
-    memoized values on both bases."""
+    memoized values on both bases and of the form on the standard basis."""
 
     _instances: dict[tuple[CoxeterGraph, int], "TraceEvaluator"] = {}
 
@@ -310,6 +310,7 @@ class TraceEvaluator:
         self.source = source
         self.algebra = TLAlgebra.for_graph(graph)
         self._tau_t: dict[GroupElement, LaurentPoly] = {}
+        self._form: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
 
     def tau_c(self, w: GroupElement) -> LaurentPoly:
         return self.source.tau_c(w)
@@ -319,39 +320,44 @@ class TraceEvaluator:
         canonical expansion."""
         cached = self._tau_t.get(w)
         if cached is None:
-            cached = self.source.tau_c(w)
-            for y, c in self.algebra.cbasis(w).items():
-                if y != w:
-                    cached = cached - c * self.tau_t(y)
+            cached = self.source.tau_c(w) - lincomb(
+                (c, self.tau_t(y)) for y, c in self.algebra.cbasis(w).items() if y != w)
             self._tau_t[w] = cached
         return cached
 
     def tau_of_t_coords(self, coords: Coords) -> LaurentPoly:
-        out = ZERO
-        for w, c in coords.items():
-            out = out + c * self.tau_t(w)
-        return out
+        return lincomb((c, self.tau_t(w)) for w, c in coords.items())
 
     def tau(self, x: TLElement) -> LaurentPoly:
         if x.basis == "c":
-            out = ZERO
-            for w, c in x.coords.items():
-                out = out + c * self.tau_c(w)
-            return out
+            return lincomb((c, self.tau_c(w)) for w, c in x.coords.items())
         return self.tau_of_t_coords(x.coords)
 
     def form_tt(self, x: GroupElement, y: GroupElement) -> LaurentPoly:
-        """The form on standard basis elements: trace of t_x t_{y^-1}."""
-        prod = self.algebra.tt_prod(x, self.graph.inverse(y))
-        return self.tau_of_t_coords(prod)
+        """The form on standard basis elements, G(x, y) = trace of t_x t_{y^-1},
+        by associativity alone: with s the last letter of y,
+        t_{y^-1} = t_s t_{(ys)^-1}, so
+
+            G(x, y) = sum_u (t_x t_s)[u] G(u, ys),   G(x, e) = trace(t_x).
+
+        Memoized on (x, y) for the life of this evaluator."""
+        key = (x, y)
+        cached = self._form.get(key)
+        if cached is None:
+            if not y.word:
+                cached = self.tau_t(x)
+            else:
+                s = y.word[-1]
+                yp = self.graph.rmul(y, s)
+                cached = lincomb((c, self.form_tt(u, yp))
+                                 for u, c in self.algebra.rgen(x, s).items())
+            self._form[key] = cached
+        return cached
 
     def form_cc(self, x: GroupElement, y: GroupElement) -> LaurentPoly:
         """The form on canonical basis elements: trace of c_x c_{y^-1}."""
         prod = self.algebra.c_mul(x, self.graph.inverse(y))
-        out = ZERO
-        for z, c in prod.items():
-            out = out + c * self.tau_c(z)
-        return out
+        return lincomb((c, self.tau_c(z)) for z, c in prod.items())
 
 
 def trace_of(x: TLElement, source) -> LaurentPoly:
@@ -403,44 +409,38 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
     if isinstance(source, TraceTable) and not source.is_homogeneous():
         source = source.homogenized()
         projected = True
-    ev = TraceEvaluator.for_source(graph, source)
+    # a fresh evaluator, so the form memo dies with this call
+    ev = TraceEvaluator(graph, source)
     alg = ev.algebra
+    form = ev.form_tt
     report = TraceReport(graph, bound, source.describe())
     fc = list(enumerate_elements(graph, bound, fc_only=True))
+    # generator products step one length past the bound, and the form on that
+    # extended support spans the products of its elements: the source must
+    # cover every fully commutative element up to length 2 * bound + 2 (a gap
+    # raises TraceGapError here, before any check; of several, the shortest)
+    for w in enumerate_elements(graph, 2 * bound + 2, fc_only=True):
+        ev.tau_c(w)
 
-    # generator products can step one length past the bound, so the form
-    # matrix is taken over the extended support
+    # adjointness of every generator in both arguments on every pair,
+    # sum_u (t_s t_x)[u] G(u, y) = sum_u (t_s t_y)[u] G(x, u)
     gen_imgs = {(s, x): alg.lgen(s, x) for s in graph.generators() for x in fc}
-    ext = set(fc)
-    for img in gen_imgs.values():
-        ext.update(img)
-    gram = {(x, y): ev.form_tt(x, y) for x in ext for y in ext}
 
-    # adjointness of every generator in both arguments
-    adj_witness = None
-    for s in graph.generators():
-        if adj_witness:
-            break
-        for x in fc:
-            if adj_witness:
-                break
-            for y in fc:
-                lhs = ZERO
-                for u, c in gen_imgs[(s, x)].items():
-                    lhs = lhs + c * gram[(u, y)]
-                rhs = ZERO
-                for u, c in gen_imgs[(s, y)].items():
-                    rhs = rhs + c * gram[(x, u)]
-                if lhs != rhs:
-                    adj_witness = (x, y)
-                    break
+    def lhs(s: int, x: GroupElement, y: GroupElement) -> LaurentPoly:
+        return lincomb((c, form(u, y)) for u, c in gen_imgs[(s, x)].items())
+
+    def rhs(s: int, x: GroupElement, y: GroupElement) -> LaurentPoly:
+        return lincomb((c, form(x, u)) for u, c in gen_imgs[(s, y)].items())
+
+    adj_witness = next(((x, y) for s in graph.generators() for x in fc for y in fc
+                        if lhs(s, x, y) != rhs(s, x, y)), None)
     report.lines.append(f"adjointness: {'FAIL' if adj_witness else 'PASS'}")
 
     ortho_witness = None
     sharp_ok = True
     for x in fc:
         for y in fc:
-            val = gram[(x, y)]
+            val = form(x, y)
             delta = ONE if x == y else ZERO
             if not (val - delta).in_vneg():
                 if ortho_witness is None:
@@ -526,7 +526,7 @@ def mu_report(graph: CoxeterGraph, bound: int, methods: tuple[str, ...],
         if bipartite_coloring(graph) is None:
             raise NonBipartiteGraph(
                 "the v^-1 extraction is only valid over 2-colorable graphs")
-        ev = TraceEvaluator.for_source(graph, source)
+        ev = TraceEvaluator(graph, source)
     rows = []
     for i, x in enumerate(fc):
         for y in fc[i:]:

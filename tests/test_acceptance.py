@@ -161,6 +161,19 @@ def test_criterion_06_builtin_trace_form_properties(n):
     _passed(6, f"built-in trace on the rank-{n} path passes all five checks")
 
 
+def test_criterion_06_builtin_trace_form_on_the_whole_a5_quotient(capsys):
+    # all 132 fully commutative elements, through the command line
+    started = time.monotonic()
+    assert main(["verify", "B", "--preset", "A5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["# property=B graph=A5 bound=15 trace=builtin-diagram",
+                     "adjointness: PASS", "almost-orthonormality: PASS",
+                     "homogeneity: PASS", "positivity: PASS",
+                     "sharpened-orthonormality: PASS", "HOLDS"]
+    _passed(6, f"built-in trace on the whole A5 quotient passes all five checks "
+               f"({time.monotonic() - started:.1f}s)")
+
+
 @pytest.mark.parametrize(
     "name,bound",
     [("A3", 6), ("A4", 10), ("B3", 9), ("D4", 12), ("H3", 10),

@@ -129,6 +129,25 @@ def test_verify_b_with_corrupt_table(tmp_path, capsys):
     assert "FAILS witness=" in out
 
 
+def test_verify_b_names_the_shortest_of_several_gaps(tmp_path, capsys):
+    # the trace values are read shortest first, before any check: of several
+    # missing values the error names the first in enumeration order
+    from tlcox.coxeter import enumerate_elements, preset as p
+    from tlcox.trace import builtin_trace
+
+    g = p("A3")
+    tr = builtin_trace(g)
+    table = tmp_path / "gaps.txt"
+    table.write_text("".join(f"{w.format()} : {tr.tau_c(w).format()}\n"
+                             for w in enumerate_elements(g, 6, fc_only=True)
+                             if w.format() not in ("1 2", "3")))
+    code, out, err = run_cli(capsys, "verify", "B", "--preset", "A3", "--bound", "1",
+                             "--trace", str(table))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 'trace table has no value at 3'\n"
+
+
 def test_structure_dihedral(capsys):
     code, out, _ = run_cli(capsys, "structure", "--preset", "A2")
     assert code == 0
@@ -205,6 +224,22 @@ def test_limits_do_not_leak_between_invocations(monkeypatch, capsys):
     assert code == 0 and out.startswith("y\tw\tP\tmu\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("mu", "--preset", "A4", "--bound", "3", "--methods", "m,oracle"),
+    ("basis", "--preset", "A4", "--bound", "3", "--kl"),
+    ("structure", "--preset", "A4", "--bound", "3", "--kl-constants"),
+])
+def test_oracle_cap_binds_every_oracle_command_once(argv, monkeypatch, capsys):
+    # an empty oracle memo, so the cap is reached
+    from tlcox.hecke import HeckeAlgebra
+
+    monkeypatch.setattr(HeckeAlgebra, "_instances", {})
+    code, _, err = run_cli(capsys, *argv, "--oracle-cap", "3")
+    assert code == 2 and "cap" in err
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
 def test_mu_trace_refuses_non_bipartite(tmp_path, capsys):
     table = tmp_path / "t.txt"
     table.write_text("e : 1\n")
@@ -223,16 +258,58 @@ def test_determinism(capsys):
 
 
 def test_internal_consistency_exit_code(monkeypatch, capsys):
-    import tlcox.cli as cli_mod
+    # the CLI imports coeff_tables from tlcox.tl when the command runs
+    import tlcox.tl as tl_mod
     from tlcox.tl import InternalConsistencyError
 
     def boom(graph, bound):
         raise InternalConsistencyError("rigged disagreement")
 
-    monkeypatch.setattr(cli_mod, "coeff_tables", boom)
+    monkeypatch.setattr(tl_mod, "coeff_tables", boom)
     code, _, err = run_cli(capsys, "tables", "--preset", "A2", "--bound", "2")
     assert code == 3
     assert "internal consistency" in err
+
+
+def test_trace_commands_leave_no_evaluator_behind(tmp_path, capsys):
+    # every run loads its own trace source; neither its evaluator nor the
+    # form memo of verify B may outlive the run
+    from tlcox.coxeter import enumerate_elements, preset as p
+    from tlcox.trace import TraceEvaluator, builtin_trace
+
+    g = p("A2")
+    tr = builtin_trace(g)
+    lines = [f"{w.format()} : {tr.tau_c(w).format()}"
+             for w in enumerate_elements(g, 3, fc_only=True)]
+    table = tmp_path / "a2.txt"
+    table.write_text("\n".join(lines).replace("e : ", "e : v^-1 + ", 1) + "\n")
+    before = dict(TraceEvaluator._instances)
+    code, out, _ = run_cli(capsys, "verify", "B", "--preset", "A3")
+    assert code == 0 and out.endswith("HOLDS\n")
+    code, out, _ = run_cli(capsys, "verify", "B", "--preset", "A2", "--trace", str(table))
+    assert code == 0 and "trace=a2.txt+homogenized" in out
+    code, _, _ = run_cli(capsys, "mu", "--preset", "A3", "--methods", "trace")
+    assert code == 0
+    assert TraceEvaluator._instances == before
+    assert not any(ev._form for ev in TraceEvaluator._instances.values())
+
+
+def test_cli_import_loads_no_algebra_module():
+    import tlcox
+
+    src = str(Path(tlcox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, tlcox.cli\n"
+        "print(sorted(m for m in ('tlcox.hecke', 'tlcox.tl', 'tlcox.trace') "
+        "if m in sys.modules))\n"
+        "import tlcox\n"
+        "print([n for n in tlcox.__all__ if getattr(tlcox, n, None) is None])\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_trace_evaluation_helper():

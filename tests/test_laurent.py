@@ -11,6 +11,7 @@ from tlcox.laurent import (
     DeltaPoly,
     LaurentPoly,
     delta_power,
+    lincomb,
     parse_poly,
 )
 
@@ -29,6 +30,17 @@ def test_ring_identities():
     assert (V + V_INV) == DELTA
     assert DELTA**2 == LaurentPoly({2: 1, 0: 2, -2: 1})
     assert (V - 1) * (V + 1) == LaurentPoly({2: 1, 0: -1})
+
+
+def test_lincomb_matches_term_by_term_sum():
+    rng = random.Random(17)
+    for _ in range(200):
+        pairs = [(rand_poly(rng), rand_poly(rng)) for _ in range(rng.randint(0, 5))]
+        got = lincomb(iter(pairs))
+        assert got == sum((a * b for a, b in pairs), ZERO)
+        assert all(c for _, c in got.items())  # no stored zeros
+    # terms that cancel leave the zero polynomial
+    assert lincomb([(V, ONE), (ONE, -V)]) == ZERO and not lincomb([(V, ONE), (ONE, -V)])
 
 
 def test_bar_examples():

@@ -88,7 +88,7 @@ def test_associativity_random_triples(name):
 def test_unit_and_identity():
     a3 = preset("A3")
     alg = TLAlgebra.for_graph(a3)
-    x = alg.tt_prod(elem(a3, 0, 2), elem(a3, 1))
+    x = alg.t_mul(alg.basis(elem(a3, 0, 2)), alg.basis(elem(a3, 1)))
     assert alg.t_mul(x, alg.unit()) == x
     assert alg.t_mul(alg.unit(), x) == x
 

@@ -385,3 +385,179 @@ def test_mu_report_outputs():
     assert row == "e\t1\t1\t1\t1\ttrue"
     rep2 = mu_report(g, 3, ("m",))
     assert "-" in rep2.dump_tsv()
+
+
+# -- the form by associativity against the full-product route ----------------------------
+
+
+def tt_prod_gram(ev, xs, ys):
+    """G(x, y) = trace(t_x t_{y^-1}) from the full product: the route the form
+    took before the associativity recursion.  t_x t_z is memoized on x for
+    one z = y^-1 at a time and built by peeling the first letter of x; the
+    trace is summed term by term."""
+    g, alg = ev.graph, ev.algebra
+    gram = {}
+    for y in ys:
+        z = g.inverse(y)
+        memo = {}
+
+        def tt_prod(x):
+            cached = memo.get(x)
+            if cached is None:
+                if not x.word:
+                    cached = alg.basis(z)
+                else:
+                    cached = alg.lmul(x.word[0], tt_prod(g.element(x.word[1:])))
+                memo[x] = cached
+            return cached
+
+        for x in xs:
+            gram[(x, y)] = sum((c * ev.tau_t(w) for w, c in tt_prod(x).items()), ZERO)
+    return gram
+
+
+def extended_support(g, bound):
+    """The fully commutative elements up to the bound and their generator
+    images, over which the form used to be tabulated."""
+    alg = TLAlgebra.for_graph(g)
+    fc = list(enumerate_elements(g, bound, fc_only=True))
+    return sorted(set(fc).union(*(alg.lgen(s, x) for s in g.generators() for x in fc)))
+
+
+def assert_form_matches_tt_prod(g, bound, source):
+    ext = extended_support(g, bound)
+    expected = tt_prod_gram(TraceEvaluator(g, source), ext, ext)
+    ev = TraceEvaluator(g, source)
+    for (x, y), want in expected.items():
+        assert ev.form_tt(x, y) == want, (x, y)
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("A2", 3), ("A3", 6), ("A4", 10), ("A5", 15), ("A4", 3),
+])
+def test_form_tt_matches_tt_prod_route(name, bound):
+    g = preset(name)
+    assert_form_matches_tt_prod(g, bound, builtin_trace(g))
+
+
+def test_form_tt_matches_tt_prod_route_on_a_user_table():
+    # the recursion uses associativity only, so it holds for any linear
+    # functional, trace or not
+    g = preset("D4")
+    rng = random.Random(71)
+    values = {}
+    for w in enumerate_elements(g, 20, fc_only=True):
+        top = w.length % 2
+        values[w] = LaurentPoly({top - 2 * k: rng.randint(-3, 3) for k in range(4)})
+    table = TraceTable(g, values, label="random")
+    assert table.is_homogeneous()
+    assert_form_matches_tt_prod(g, 12, table)
+
+
+# the reports the tt_prod route gave on these tables
+CORRUPTED_REPORTS = {
+    # the value at s1 s2 replaced by 1: the form is no longer symmetric
+    ("A2", 3, (0, 1)): "# property=B graph=A2 bound=3 trace=corrupt\n"
+                       "adjointness: FAIL\nalmost-orthonormality: FAIL\n"
+                       "homogeneity: PASS\npositivity: PASS\n"
+                       "sharpened-orthonormality: FAIL\nFAILS witness=(e, 2)\n",
+    # v^-6 added to the value at the involution s2 s1 s3 s2: the form stays
+    # symmetric, but it is not a trace
+    ("A3", 6, (1, 0, 2, 1)): "# property=B graph=A3 bound=6 trace=corrupt\n"
+                             "adjointness: FAIL\nalmost-orthonormality: PASS\n"
+                             "homogeneity: PASS\npositivity: PASS\n"
+                             "sharpened-orthonormality: PASS\nFAILS witness=(e, 1 3 2)\n",
+}
+
+
+@pytest.mark.parametrize("name,bound,word", sorted(CORRUPTED_REPORTS))
+def test_corrupted_table_report_and_form_match_tt_prod_route(name, bound, word):
+    g = preset(name)
+    tr = builtin_trace(g)
+    values = {w: tr.tau_c(w) for w in enumerate_elements(g, bound, fc_only=True)}
+    w = g.element(word)
+    values[w] = ONE if name == "A2" else values[w] + V(-6)
+    table = TraceTable(g, values, label="corrupt")
+    assert verify_property_B(g, bound, table).render() == CORRUPTED_REPORTS[(name, bound, word)]
+    assert_form_matches_tt_prod(g, bound, table)
+
+
+def full_adjointness_witness(g, bound, source):
+    """The first (x, y), generator by generator, at which the two adjointness
+    sums differ, each sum taken in full on the tt_prod route's form."""
+    alg = TLAlgebra.for_graph(g)
+    fc = list(enumerate_elements(g, bound, fc_only=True))
+    ext = extended_support(g, bound)
+    gram = tt_prod_gram(TraceEvaluator(g, source), ext, ext)
+    for s in g.generators():
+        for x in fc:
+            for y in fc:
+                lhs = sum((c * gram[(u, y)] for u, c in alg.lgen(s, x).items()), ZERO)
+                rhs = sum((c * gram[(x, u)] for u, c in alg.lgen(s, y).items()), ZERO)
+                if lhs != rhs:
+                    return (x, y)
+    return None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 6])
+def test_adjointness_verdict_and_witness_match_the_full_check(bound):
+    # one value bumped, at w alone (the form loses its symmetry when w is not
+    # an involution) or at w and its inverse (it keeps it)
+    g = preset("A3")
+    tr = builtin_trace(g)
+    fc = list(enumerate_elements(g, 6, fc_only=True))
+    for w in fc:
+        for pair in (False, True):
+            values = {u: tr.tau_c(u) for u in fc}
+            for u in {w, g.inverse(w)} if pair else {w}:
+                values[u] = values[u] + V(-u.length - 2)
+            table = TraceTable(g, values, label="bumped")
+            witness = full_adjointness_witness(g, bound, table)
+            report = verify_property_B(g, bound, table)
+            assert report.lines[0] == f"adjointness: {'FAIL' if witness else 'PASS'}"
+            if witness:
+                assert report.witness == witness, (w, pair)
+
+
+class SpySource:
+    """A trace source that records every element whose value is read."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.read = set()
+
+    def describe(self):
+        return self.inner.describe()
+
+    def tau_c(self, w):
+        self.read.add(w)
+        return self.inner.tau_c(w)
+
+
+@pytest.mark.parametrize("name,bound,count", [
+    ("A4", 2, 42), ("A4", 3, 42), ("A5", 2, 118), ("A5", 4, 132),
+])
+def test_verify_b_reads_the_trace_values_of_the_tt_prod_route(name, bound, count):
+    # a table with gaps must fail (TraceGapError, exit 2) exactly when it did
+    g = preset(name)
+    old = SpySource(builtin_trace(g))
+    ext = extended_support(g, bound)
+    tt_prod_gram(TraceEvaluator(g, old), ext, ext)
+    old.read.update(enumerate_elements(g, bound, fc_only=True))  # homogeneity, positivity
+    new = SpySource(builtin_trace(g))
+    assert verify_property_B(g, bound, new).holds
+    assert new.read == old.read
+    assert len(new.read) == count
+
+
+def test_verify_b_refuses_a_gap_up_to_twice_the_bound_plus_two():
+    g = preset("A3")
+    tr = builtin_trace(g)
+    fc = list(enumerate_elements(g, 6, fc_only=True))
+    for gap in fc:
+        table = TraceTable(g, {w: tr.tau_c(w) for w in fc if w != gap})
+        if gap.length <= 2:
+            with pytest.raises(TraceGapError):
+                verify_property_B(g, 0, table)
+        else:
+            assert verify_property_B(g, 0, table).holds
