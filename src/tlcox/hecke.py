@@ -52,7 +52,6 @@ class HeckeAlgebra:
         self.element_cap = element_cap
         self._bar: dict[GroupElement, Coords] = {}
         self._kl: dict[GroupElement, Coords] = {}
-        self._tt: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._klgen: dict[tuple[int, GroupElement], Coords] = {}
         self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._theta: dict[GroupElement, Coords] = {}
@@ -97,23 +96,14 @@ class HeckeAlgebra:
             acc(out, self.rgen(w, s), c)
         return out
 
-    def tt_prod(self, x: GroupElement, y: GroupElement) -> Coords:
-        key = (x, y)
-        cached = self._tt.get(key)
-        if cached is None:
-            if not x.word:
-                cached = self.basis(y)
-            else:
-                rest = self.graph.element(x.word[1:])
-                cached = self.lmul(x.word[0], self.tt_prod(rest, y))
-            self._tt[key] = cached
-        return cached
-
     def mul(self, a: Coords, b: Coords) -> Coords:
+        """a * b: each t_x of a acts on b letter by letter, last letter first."""
         out: Coords = {}
         for x, cx in a.items():
-            for y, cy in b.items():
-                acc(out, self.tt_prod(x, y), cx * cy)
+            prod = b
+            for s in reversed(x.word):
+                prod = self.lmul(s, prod)
+            acc(out, prod, cx)
         return out
 
     # -- bar involution and the bar-invariant basis -------------------------------

@@ -13,9 +13,18 @@ relation above after splitting off the commuting prefix.  Everything else is
 built on top of that kernel: the bar involution (by inverting generators),
 the canonical basis (two independent algorithms: a triangular bar-solve and
 a length recursion driven by the v^-1 coefficients), the p*/q*/M coefficient
-tables with two independent q* computations that must agree, products in
-canonical coordinates, sublattice membership, and the dihedral canonical
-basis built from the three-term second-kind Chebyshev recurrence.
+tables, products in canonical coordinates, sublattice membership, and the
+dihedral canonical basis built from the three-term second-kind Chebyshev
+recurrence.
+
+The tables take p* from the length recursion, which certifies itself (it
+raises unless every column comes out unitriangular and depressed, and each
+is bar-invariant by construction), and fall back to the bar-solve for the
+whole table when it raises.  q* is computed twice and the two must agree
+exactly: by inverting the p*-matrix, and by the descent recursion for q
+(one column q(., w) at a time from column s w), which never reads the
+canonical basis.  Keeping the second route off the canonical basis is what
+makes the agreement a check on p* rather than a restatement of it.
 
 Products of canonical basis elements stay in canonical coordinates: c_x c_y
 follows from a memoized table of c_s c_w by peeling the first letter of x
@@ -143,6 +152,37 @@ def left_action_product(x: GroupElement, y: GroupElement,
     return out
 
 
+def _add_shifted(raw: dict[GroupElement, dict[int, int]], x: GroupElement,
+                 poly: LaurentPoly, shift: int, scale: int) -> None:
+    """raw[x] += scale * v^shift * poly, on exponent -> coefficient dicts
+    (zeros are left for the caller to drop)."""
+    coeffs = raw.get(x)
+    if coeffs is None:
+        coeffs = raw[x] = {}
+    get = coeffs.get
+    for e, c in poly._c.items():
+        e += shift
+        coeffs[e] = get(e, 0) + scale * c
+
+
+def _push(pending: dict[GroupElement, dict[int, int]], column: Coords,
+          coeffs: dict[int, int], skip: GroupElement) -> None:
+    """pending[y] += coeffs * column[y] for every y in column but skip, on
+    exponent -> coefficient dicts (zeros are left for the caller to drop)."""
+    for y, p in column.items():
+        if y is skip:
+            continue
+        acc_y = pending.get(y)
+        if acc_y is None:
+            acc_y = pending[y] = {}
+        get = acc_y.get
+        terms = p._c.items()
+        for ea, ca in coeffs.items():
+            for eb, cb in terms:
+                e = ea + eb
+                acc_y[e] = get(e, 0) + ca * cb
+
+
 def _dihedral_proper_words(s: int, t: int, m: int) -> list[tuple[int, ...]]:
     """Words for the 2m-1 elements strictly below the longest element of the
     dihedral parabolic on {s, t}."""
@@ -176,7 +216,7 @@ class TLAlgebra:
         self._cbasis_rec: dict[GroupElement, Coords] = {}
         self._cgen: dict[tuple[int, GroupElement], Coords] = {}
         self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
-        self._q: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
+        self._qcol: dict[GroupElement, Coords] = {}
         self._alt: dict[tuple[int, int], Coords] = {}
 
     # -- the multiplication kernel ------------------------------------------------
@@ -397,37 +437,55 @@ class TLAlgebra:
 
     # -- q* by the descent recursion ---------------------------------------------------------
 
-    def q_poly(self, x: GroupElement, w: GroupElement) -> LaurentPoly:
-        """q(x, w) = v^(len(w) - len(x)) q*(x, w), computed by peeling the
-        least left descent of w (independent of the canonical basis)."""
-        key = (x, w)
-        cached = self._q.get(key)
+    def q_column(self, w: GroupElement) -> Coords:
+        """x -> q(x, w) = v^(len(w) - len(x)) q*(x, w) over the fully
+        commutative x where it is nonzero, by peeling the least left descent s
+        of w (independent of the canonical basis).  With w' = s w,
+
+            q(x, w) = q(x, w')                                   if s not in L(x),
+            q(x, w) = q(s x, w') - v^2 q(x, w')
+                      + sum_y mu(x, y) v^(len(y) + 1 - len(x)) q(y, w')   otherwise,
+
+        the sum over y with s not in L(y) and len(y) - len(x) odd, where
+        mu(x, y) is the v^(len(y) - len(x) - 1) coefficient of q(x, y).  Each
+        term is read off column w' and the columns of its support, which lie
+        below w by the lifting property; s x is built only when the heap says
+        it is fully commutative.  Memoized on w."""
+        cached = self._qcol.get(w)
         if cached is not None:
             return cached
         g = self.graph
-        if x == w:
-            out = ONE
-        elif x.length >= w.length or not g.bruhat_leq(x, w):
-            out = ZERO
+        if not w.word:
+            col = self.unit()
         else:
-            s = min(g.left_descents(w))
-            wp = g.lmul(s, w)
-            if s not in g.left_descents(x):
-                out = self.q_poly(x, wp)
-            else:
-                out = self.q_poly(g.lmul(s, x), wp) - LaurentPoly.v(2) * self.q_poly(x, wp)
-                for level in g.levels_to(wp.length, fc_only=True)[x.length + 1:]:
-                    for y in level:
-                        if (y.length - x.length) % 2 == 0:
-                            continue
-                        if s in g.left_descents(y):
-                            continue
-                        mc = self.q_poly(x, y).coeff(y.length - x.length - 1)
-                        if mc:
-                            out = out + LaurentPoly._raw(
-                                {y.length + 1 - x.length: mc}) * self.q_poly(y, wp)
-        self._q[key] = out
-        return out
+            left = g.left_descents
+            s = min(left(w))
+            raw: dict[GroupElement, dict[int, int]] = {}
+            for y, qy in self.q_column(g.lmul(s, w)).items():
+                if s in left(y):
+                    _add_shifted(raw, y, qy, 2, -1)
+                    continue
+                _add_shifted(raw, y, qy, 0, 1)
+                if g.fc_normal_form_word((s,) + y.word) is not None:
+                    _add_shifted(raw, g.lmul(s, y), qy, 0, 1)
+                ly = len(y.word)
+                for x, qx in self.q_column(y).items():
+                    d = ly - len(x.word)
+                    if d % 2 and s in left(x):
+                        mu = qx.coeff(d - 1)
+                        if mu:
+                            _add_shifted(raw, x, qy, d + 1, mu)
+            col = {}
+            for x, coeffs in raw.items():
+                nonzero = {e: c for e, c in coeffs.items() if c}
+                if nonzero:
+                    col[x] = LaurentPoly._raw(nonzero)
+        self._qcol[w] = col
+        return col
+
+    def q_poly(self, x: GroupElement, w: GroupElement) -> LaurentPoly:
+        """q(x, w), read off column w."""
+        return self.q_column(w).get(x, ZERO)
 
     def q_star_recursive(self, x: GroupElement, w: GroupElement) -> LaurentPoly:
         return LaurentPoly.v(x.length - w.length) * self.q_poly(x, w)
@@ -641,45 +699,58 @@ class CoeffTables:
 
 
 def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
-    """Build the tables; q* is computed both by inverting the p*-matrix and
-    by the descent recursion, and the two must agree exactly."""
+    """Build the tables.
+
+    p* is read off the canonical basis from the length recursion
+    (`cbasis_recursive`), or from the bar-solve (`cbasis`) for every element
+    when the recursion raises CanonicalRecursionError on any of them.  q* is
+    computed twice: by inverting the p*-matrix, and by the descent recursion
+    (`q_column`), which never reads the canonical basis, so the agreement
+    checks p*.  The two routes are compared column by column and must agree
+    exactly; so must the v^-1 coefficients of p* and q*."""
     alg = TLAlgebra.for_graph(graph)
     fc = list(enumerate_elements(graph, length_bound, fc_only=True))
+    try:
+        columns = {w: alg.cbasis_recursive(w) for w in fc}
+    except CanonicalRecursionError:
+        columns = {w: alg.cbasis(w) for w in fc}
     p_star: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
     for w in fc:
-        for y, c in alg.cbasis(w).items():
+        for y, c in columns[w].items():
             p_star[(y, w)] = c
-    # invert the unitriangular matrix: columns of the inverse, top down.
-    # col[z] = -sum over y above z of p*(z, y) col[y]; each finished col[y]
-    # is pushed through the support of cbasis(y) into the pending sums, so
-    # only nonzero p* entries are visited (the diagonal entry lands on y,
-    # which the walk has passed)
+    # invert the unitriangular matrix one column at a time, top down:
+    # inv[z] = -sum over y above z of p*(z, y) inv[y].  Each finished inv[y]
+    # is pushed through column y of p* into the pending sums, so only nonzero
+    # p* entries are visited; q*(z, w) = (-1)^(len(z) + len(w)) inv[z].
     q_star: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
     for wi, w in enumerate(fc):
         col: Coords = {w: ONE}
-        pending: Coords = {}
-        acc(pending, alg.cbasis(w))
+        pending: dict[GroupElement, dict[int, int]] = {}
+        _push(pending, columns[w], {0: 1}, w)
+        sign_w = w.length % 2
         for zi in range(wi - 1, -1, -1):
             z = fc[zi]
             total = pending.pop(z, None)
-            if total:
-                col[z] = -total
-                acc(pending, alg.cbasis(z), col[z])
-        sign_w = w.length % 2
-        for z, val in col.items():
-            if (z.length + sign_w) % 2:
-                val = -val
-            q_star[(z, w)] = val
-    # reconcile with the recursion route
-    for w in fc:
-        for y in fc:
-            if y.length > w.length:
+            if total is None:
                 continue
-            recur = alg.q_star_recursive(y, w)
-            if recur != q_star.get((y, w), ZERO):
-                raise InternalConsistencyError(
-                    f"q*({format_element(y)}, {format_element(w)}): matrix inversion gives "
-                    f"{q_star.get((y, w), ZERO).format()} but the recursion gives {recur.format()}")
+            inv = {e: -c for e, c in total.items() if c}
+            if inv:
+                _push(pending, columns[z], inv, z)
+                col[z] = LaurentPoly._raw(
+                    inv if (z.length + sign_w) % 2 == 0 else {e: -c for e, c in inv.items()})
+        # reconcile with the recursion route, column against column
+        lw = w.length
+        recur = {x: LaurentPoly._raw({e + len(x.word) - lw: c for e, c in q._c.items()})
+                 for x, q in alg.q_column(w).items()}
+        if recur != col:
+            y = min(y for y in col.keys() | recur.keys()
+                    if col.get(y, ZERO) != recur.get(y, ZERO))
+            raise InternalConsistencyError(
+                f"q*({format_element(y)}, {format_element(w)}): matrix inversion gives "
+                f"{col.get(y, ZERO).format()} but the recursion gives "
+                f"{recur.get(y, ZERO).format()}")
+        for z, val in col.items():
+            q_star[(z, w)] = val
     m: dict[tuple[GroupElement, GroupElement], int] = {}
     for (y, w), p in p_star.items():
         mc = p.coeff(-1)

@@ -294,17 +294,6 @@ class TraceEvaluator:
     """Linear extension of a trace source to arbitrary algebra elements, with
     memoized values on both bases and of the form on the standard basis."""
 
-    _instances: dict[tuple[CoxeterGraph, int], "TraceEvaluator"] = {}
-
-    @classmethod
-    def for_source(cls, graph: CoxeterGraph, source) -> "TraceEvaluator":
-        key = (graph, id(source))
-        ev = cls._instances.get(key)
-        if ev is None:
-            ev = cls(graph, source)
-            cls._instances[key] = ev
-        return ev
-
     def __init__(self, graph: CoxeterGraph, source):
         self.graph = graph
         self.source = source
@@ -363,13 +352,13 @@ class TraceEvaluator:
 def trace_of(x: TLElement, source) -> LaurentPoly:
     """The trace of an arbitrary algebra element (linear extension of the
     source's values on the canonical basis)."""
-    return TraceEvaluator.for_source(x.graph, source).tau(x)
+    return TraceEvaluator(x.graph, source).tau(x)
 
 
 def bilinear_form(x: TLElement, y: TLElement, source) -> LaurentPoly:
     """trace(x * y-reversed); symmetric, with generator multiplication
     self-adjoint when the source satisfies the trace property."""
-    ev = TraceEvaluator.for_source(x.graph, source)
+    ev = TraceEvaluator(x.graph, source)
     prod = x.algebra.t_mul(x.to_basis("t").coords, y.star().to_basis("t").coords)
     return ev.tau_of_t_coords(prod)
 
@@ -409,7 +398,6 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
     if isinstance(source, TraceTable) and not source.is_homogeneous():
         source = source.homogenized()
         projected = True
-    # a fresh evaluator, so the form memo dies with this call
     ev = TraceEvaluator(graph, source)
     alg = ev.algebra
     form = ev.form_tt
@@ -478,7 +466,7 @@ def mu_from_trace(x: GroupElement, y: GroupElement, source) -> int:
         raise ValueError("both elements must be fully commutative")
     if isinstance(source, TraceTable) and not source.is_homogeneous():
         raise TraceTableError("trace table is not homogeneous; apply homogenized()")
-    ev = TraceEvaluator.for_source(graph, source)
+    ev = TraceEvaluator(graph, source)
     return ev.form_cc(x, y).coeff(-1)
 
 

@@ -46,7 +46,7 @@ def test_criterion_01_worked_diagram_example():
     x = g.element((1,))
     y = g.element((1, 0, 2, 1))
     src = builtin_trace(g)
-    ev = TraceEvaluator.for_source(g, src)
+    ev = TraceEvaluator(g, src)
     assert ev.form_cc(x, y) == V(-4) * delta_power(3)
     assert mu_from_trace(x, y, src) == 1
     tables = kl_tables(g, 6)
@@ -87,7 +87,7 @@ def test_criterion_02_m_equals_mu_on_whole_groups(name, rows, capsys):
 def test_criterion_03_three_way_mu_agreement(name, bound):
     g = preset(name)
     src = builtin_trace(g)
-    ev = TraceEvaluator.for_source(g, src)
+    ev = TraceEvaluator(g, src)
     tl = TLAlgebra.for_graph(g)
     oracle = HeckeAlgebra.for_graph(g)
     fc = fc_elements(name, bound)

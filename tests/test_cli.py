@@ -271,27 +271,102 @@ def test_internal_consistency_exit_code(monkeypatch, capsys):
     assert "internal consistency" in err
 
 
-def test_trace_commands_leave_no_evaluator_behind(tmp_path, capsys):
-    # every run loads its own trace source; neither its evaluator nor the
-    # form memo of verify B may outlive the run
+def test_trace_commands_leave_no_evaluator_behind(tmp_path, capsys, monkeypatch):
+    # every run loads its own trace source and builds its own evaluators;
+    # there is no registry to keep them, and none outlives the run
+    import gc
+    import weakref
+
     from tlcox.coxeter import enumerate_elements, preset as p
     from tlcox.trace import TraceEvaluator, builtin_trace
 
+    assert not hasattr(TraceEvaluator, "_instances")
+    assert not hasattr(TraceEvaluator, "for_source")
+    built = []
+    original = TraceEvaluator.__init__
+
+    def spy(self, *args):
+        original(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(TraceEvaluator, "__init__", spy)
     g = p("A2")
     tr = builtin_trace(g)
     lines = [f"{w.format()} : {tr.tau_c(w).format()}"
              for w in enumerate_elements(g, 3, fc_only=True)]
     table = tmp_path / "a2.txt"
     table.write_text("\n".join(lines).replace("e : ", "e : v^-1 + ", 1) + "\n")
-    before = dict(TraceEvaluator._instances)
     code, out, _ = run_cli(capsys, "verify", "B", "--preset", "A3")
     assert code == 0 and out.endswith("HOLDS\n")
     code, out, _ = run_cli(capsys, "verify", "B", "--preset", "A2", "--trace", str(table))
     assert code == 0 and "trace=a2.txt+homogenized" in out
     code, _, _ = run_cli(capsys, "mu", "--preset", "A3", "--methods", "trace")
     assert code == 0
-    assert TraceEvaluator._instances == before
-    assert not any(ev._form for ev in TraceEvaluator._instances.values())
+    gc.collect()
+    assert len(built) == 3 and all(ref() is None for ref in built)
+
+
+B4_TABLES_SHA256 = "c86bb4d81e8d851dba127ed6eac0443ecc1b6bb5c3df4f59096a1e8fc9ff726a"
+
+
+def test_tables_fall_back_to_the_bar_solve(monkeypatch, capsys):
+    # the length recursion refuses part way through the table: p* comes from
+    # the bar-solve for every element, with the same bytes and exit code
+    import hashlib
+
+    from tlcox.tl import CanonicalRecursionError, TLAlgebra
+
+    original = TLAlgebra.cbasis_recursive
+    refused = []
+
+    def refuse_long(self, w):
+        if w.length >= 3:
+            refused.append(w)
+            raise CanonicalRecursionError("rigged refusal")
+        return original(self, w)
+
+    monkeypatch.setattr(TLAlgebra, "_instances", {})
+    monkeypatch.setattr(TLAlgebra, "cbasis_recursive", refuse_long)
+    code, out, err = run_cli(capsys, "tables", "--preset", "B4")
+    assert code == 0 and err == "" and refused
+    assert hashlib.sha256(out.encode()).hexdigest() == B4_TABLES_SHA256
+
+
+def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, capsys):
+    from tlcox.coxeter import enumerate_elements, format_element, preset as p
+    from tlcox.laurent import ONE, ZERO
+    from tlcox.tl import TLAlgebra, coeff_tables
+
+    g = p("B4")
+    fc = list(enumerate_elements(g, 16, fc_only=True))
+    monkeypatch.setattr(TLAlgebra, "_instances", {})
+    inverted = coeff_tables(g, 16).q_star
+    # two wrong entries in one column, the first and the last below w0
+    w0 = fc[len(fc) // 2]
+    below = sorted(x for x in TLAlgebra(g).q_column(w0) if x != w0)
+    original = TLAlgebra.q_column
+
+    def perturbed(self, w):
+        col = original(self, w)
+        if w is w0:
+            col = dict(col)
+            for x in (below[0], below[-1]):
+                col[x] = col[x] + ONE
+        return col
+
+    monkeypatch.setattr(TLAlgebra, "q_column", perturbed)
+    monkeypatch.setattr(TLAlgebra, "_instances", {})
+    code, _, err = run_cli(capsys, "tables", "--preset", "B4")
+    assert code == 3
+    # the witness of the pair-by-pair scan: the first w, then the first y
+    alg = TLAlgebra(g)
+    y, w = next((y, w) for w in fc for y in fc if y.length <= w.length
+                and alg.q_star_recursive(y, w) != inverted.get((y, w), ZERO))
+    assert (y, w) == (below[0], w0) and len(below) > 1
+    assert err == (
+        f"internal consistency failure: q*({format_element(y)}, {format_element(w)}): "
+        f"matrix inversion gives {inverted.get((y, w), ZERO).format()} but the "
+        f"recursion gives {alg.q_star_recursive(y, w).format()}\n")
 
 
 def test_cli_import_loads_no_algebra_module():

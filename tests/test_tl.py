@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from q_pairs import PairRoute
+from test_heaps import HEAP_CASES, fresh
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, V_MINUS_VINV, parse_poly
 from tlcox.stars import star
@@ -346,6 +348,18 @@ def test_coset_invariance_of_q():
                 for (xi, x) in members:
                     for (wi, w) in members:
                         assert alg.q_poly(x, w) == alg.q_poly(xi, wi)
+
+
+@pytest.mark.parametrize("name,bound", [(name, fc) for name, fc, _ in HEAP_CASES])
+def test_q_column_matches_pair_recursion(name, bound):
+    # every graph of the heap tests, among them B4 <= 16, ~C3 <= 9 and D5
+    g = fresh(name)
+    alg = TLAlgebra(g)
+    ref = PairRoute(g)
+    fc = list(enumerate_elements(g, bound, fc_only=True))
+    for w in fc:
+        want = {x: ref.q_poly(x, w) for x in fc if x.length <= w.length}
+        assert alg.q_column(w) == {x: q for x, q in want.items() if q}, w
 
 
 def test_string_recurrence_for_m():

@@ -107,7 +107,7 @@ def test_builtin_trace_requires_path_graph():
 
 def test_trace_identity_value():
     g = preset("A3")
-    ev = TraceEvaluator.for_source(g, builtin_trace(g))
+    ev = TraceEvaluator(g, builtin_trace(g))
     assert ev.tau_t(g.identity) == V(-4) * delta_power(4)
 
 
@@ -126,7 +126,7 @@ def test_trace_of_commuting_products():
 def test_worked_diagram_trace_value():
     # x = s2, y = s2 s1 s3 s2: the closed-up product diagram has 3 loops
     g = preset("A3")
-    ev = TraceEvaluator.for_source(g, builtin_trace(g))
+    ev = TraceEvaluator(g, builtin_trace(g))
     x = g.element((1,))
     y = g.element((1, 0, 2, 1))
     val = ev.form_cc(x, y)
@@ -143,7 +143,7 @@ def test_trace_symmetry_and_star_invariance():
     for n in (2, 3, 4):
         g = preset(f"A{n}")
         alg = TLAlgebra.for_graph(g)
-        ev = TraceEvaluator.for_source(g, builtin_trace(g))
+        ev = TraceEvaluator(g, builtin_trace(g))
         els = list(enumerate_elements(g, 5, fc_only=True))
         rng = random.Random(47)
         for _ in range(12):
@@ -182,7 +182,7 @@ def test_three_term_form_identity():
     g = preset("A3")
     alg = TLAlgebra.for_graph(g)
     src = builtin_trace(g)
-    ev = TraceEvaluator.for_source(g, src)
+    ev = TraceEvaluator(g, src)
 
     def form(a, b):
         from tlcox.tl import star_involution_coords
@@ -206,7 +206,7 @@ def test_form_reads_off_lattice_coefficients():
     # terms
     g = preset("A3")
     alg = TLAlgebra.for_graph(g)
-    ev = TraceEvaluator.for_source(g, builtin_trace(g))
+    ev = TraceEvaluator(g, builtin_trace(g))
     fc = list(enumerate_elements(g, 4, fc_only=True))
     rng = random.Random(67)
     for _ in range(15):
@@ -228,7 +228,7 @@ def test_form_reads_off_lattice_coefficients():
 
 def test_canonical_basis_almost_orthonormal_under_trace():
     g = preset("A3")
-    ev = TraceEvaluator.for_source(g, builtin_trace(g))
+    ev = TraceEvaluator(g, builtin_trace(g))
     fc = list(enumerate_elements(g, 6, fc_only=True))
     for x in fc:
         for y in fc:
@@ -241,7 +241,7 @@ def test_bar_invariant_unit_norm_elements_are_canonical():
     # happens exactly on signed canonical basis elements
     g = preset("A2")
     alg = TLAlgebra.for_graph(g)
-    ev = TraceEvaluator.for_source(g, builtin_trace(g))
+    ev = TraceEvaluator(g, builtin_trace(g))
     fc = list(enumerate_elements(g, 3, fc_only=True))
     rng = random.Random(59)
     for _ in range(60):
