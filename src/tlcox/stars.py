@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coxeter import (
-    INFINITE,
     CoxeterGraph,
     GroupElement,
-    coset_decompose,
     enumerate_elements,
     format_element,
     is_commuting_product,
@@ -30,34 +28,32 @@ def star(w: GroupElement, pair: tuple[int, int], side: str, direction: str) -> G
 
     `direction` is "up" (longer neighbor) or "down" (shorter neighbor); the
     result is None when w is not strictly inside a string or the step would
-    leave it.
+    leave it.  Read off the descents on `side`: w is strictly inside exactly
+    when one of s, t (call it a, the other b) is a descent; the step down is
+    a w, inside while b is a descent of it, and the step up is b w, inside
+    while a is not.
     """
     g = w.graph
-    dec = coset_decompose(w, pair, side)
-    s, t = dec.pair
-    m = g.m(s, t)
-    a = dec.part_I.length
-    if a == 0 or (m != INFINITE and a == m):
-        return None
-    wi = dec.part_I.word
-    if direction == "down":
-        if a == 1:
-            return None
-        new = wi[1:] if side == "left" else wi[:-1]
-    elif direction == "up":
-        if m != INFINITE and a + 1 > m - 1:
-            return None
-        if side == "left":
-            other = t if wi[0] == s else s
-            new = (other,) + wi
-        else:
-            other = t if wi[-1] == s else s
-            new = wi + (other,)
-    else:
-        raise ValueError("direction must be 'up' or 'down'")
+    s, t = pair
+    if s == t or g.m(s, t) < 3:
+        raise ValueError("pair must be noncommuting (bond label >= 3)")
     if side == "left":
-        return g.element(new + dec.rest.word)
-    return g.element(dec.rest.word + new)
+        descents, mul = g.left_descents, g.lmul
+    elif side == "right":
+        descents, mul = g.right_descents, lambda r, x: g.rmul(x, r)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    d = descents(w)
+    if (s in d) == (t in d):
+        return None
+    a, b = (s, t) if s in d else (t, s)
+    if direction == "down":
+        x = mul(a, w)
+        return x if b in descents(x) else None
+    if direction == "up":
+        x = mul(b, w)
+        return None if a in descents(x) else x
+    raise ValueError("direction must be 'up' or 'down'")
 
 
 def star_reduction_paths(w: GroupElement) -> set[GroupElement]:

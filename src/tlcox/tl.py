@@ -17,12 +17,13 @@ tables, products in canonical coordinates, sublattice membership, and the
 dihedral canonical basis built from the three-term second-kind Chebyshev
 recurrence.
 
-The tables take p* from the length recursion, which certifies itself (it
-raises unless every column comes out unitriangular and depressed, and each
-is bar-invariant by construction), and fall back to the bar-solve for the
-whole table when it raises.  q* is computed twice and the two must agree
-exactly: by inverting the p*-matrix, and by the descent recursion for q
-(one column q(., w) at a time from column s w), which never reads the
+Tables, products and traces read the canonical basis through `canonical`:
+the length recursion, which certifies itself (it raises unless every column
+comes out unitriangular and depressed, and each is bar-invariant by
+construction), or the bar-solve once the recursion has raised on the
+algebra; `basis` compares the two.  q* is computed twice and the two must
+agree exactly: by inverting the p*-matrix, and by the descent recursion for
+q (one column q(., w) at a time from column s w), which never reads the
 canonical basis.  Keeping the second route off the canonical basis is what
 makes the agreement a check on p* rather than a restatement of it.
 
@@ -214,6 +215,7 @@ class TLAlgebra:
         self._expand: dict[GroupElement, Coords] = {}
         self._cbasis: dict[GroupElement, Coords] = {}
         self._cbasis_rec: dict[GroupElement, Coords] = {}
+        self._recursion_failed = False
         self._cgen: dict[tuple[int, GroupElement], Coords] = {}
         self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._qcol: dict[GroupElement, Coords] = {}
@@ -372,10 +374,21 @@ class TLAlgebra:
             self._cbasis_rec[w] = cached
         return cached
 
+    def canonical(self, w: GroupElement) -> Coords:
+        """The canonical basis element that products, traces and tables read:
+        the length recursion, which certifies itself, or the bar-solve once
+        the recursion has raised CanonicalRecursionError on this algebra."""
+        if not self._recursion_failed:
+            try:
+                return self.cbasis_recursive(w)
+            except CanonicalRecursionError:
+                self._recursion_failed = True
+        return self.cbasis(w)
+
     def p_star(self, y: GroupElement, w: GroupElement) -> LaurentPoly:
         if not (y.is_fully_commutative() and w.is_fully_commutative()):
             return ZERO
-        return self.cbasis(w).get(y, ZERO)
+        return self.canonical(w).get(y, ZERO)
 
     def m_coeff(self, y: GroupElement, w: GroupElement) -> int:
         """The v^-1 coefficient of p*(y, w)."""
@@ -395,7 +408,7 @@ class TLAlgebra:
             w = max(rem)
             a = rem.pop(w)
             out[w] = a
-            for y, c in self.cbasis(w).items():
+            for y, c in self.canonical(w).items():
                 if y is w or y == w:
                     continue
                 val = rem.get(y)
@@ -409,7 +422,7 @@ class TLAlgebra:
     def from_c(self, ccoords: Coords) -> Coords:
         out: Coords = {}
         for w, c in ccoords.items():
-            acc(out, self.cbasis(w), c)
+            acc(out, self.canonical(w), c)
         return out
 
     def c_lgen(self, s: int, w: GroupElement) -> Coords:
@@ -417,7 +430,7 @@ class TLAlgebra:
         key = (s, w)
         cached = self._cgen.get(key)
         if cached is None:
-            cw = self.cbasis(w)
+            cw = self.canonical(w)
             prod = self.lmul(s, cw)
             acc(prod, cw, V_INV)
             cached = self.to_c(prod)
@@ -685,35 +698,33 @@ class CoeffTables:
         return self.m_coeff(x, y) if x.length <= y.length else self.m_coeff(y, x)
 
     def dump_tsv(self) -> str:
+        """One row per pair with p* or q* nonzero, column by column, each
+        column's rows in element order."""
+        names = {w: format_element(w) for w in self.elements}
+        order = {w: i for i, w in enumerate(self.elements)}
+        rows: dict[GroupElement, list[GroupElement]] = {}
+        for y, w in self.p_star.keys() | self.q_star.keys():
+            rows.setdefault(w, []).append(y)
         lines = ["y\tw\tp_star\tq_star\tM"]
         for w in self.elements:
-            for y in self.elements:
-                p = self.p_star.get((y, w), ZERO)
-                q = self.q_star.get((y, w), ZERO)
-                if p.is_zero() and q.is_zero():
-                    continue
-                lines.append(
-                    f"{format_element(y)}\t{format_element(w)}\t{p.format()}\t"
-                    f"{q.format()}\t{self.m.get((y, w), 0)}")
+            for y in sorted(rows.get(w, ()), key=order.__getitem__):
+                lines.append(f"{names[y]}\t{names[w]}\t{self.p_star.get((y, w), ZERO).format()}\t"
+                             f"{self.q_star.get((y, w), ZERO).format()}\t{self.m.get((y, w), 0)}")
         return "\n".join(lines) + "\n"
 
 
 def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
     """Build the tables.
 
-    p* is read off the canonical basis from the length recursion
-    (`cbasis_recursive`), or from the bar-solve (`cbasis`) for every element
-    when the recursion raises CanonicalRecursionError on any of them.  q* is
-    computed twice: by inverting the p*-matrix, and by the descent recursion
-    (`q_column`), which never reads the canonical basis, so the agreement
-    checks p*.  The two routes are compared column by column and must agree
-    exactly; so must the v^-1 coefficients of p* and q*."""
+    p* is read off the canonical basis (`canonical`: the length recursion,
+    or the bar-solve once the recursion has raised).  q* is computed twice:
+    by inverting the p*-matrix, and by the descent recursion (`q_column`),
+    which never reads the canonical basis, so the agreement checks p*.  The
+    two routes are compared column by column and must agree exactly; so
+    must the v^-1 coefficients of p* and q*."""
     alg = TLAlgebra.for_graph(graph)
     fc = list(enumerate_elements(graph, length_bound, fc_only=True))
-    try:
-        columns = {w: alg.cbasis_recursive(w) for w in fc}
-    except CanonicalRecursionError:
-        columns = {w: alg.cbasis(w) for w in fc}
+    columns = {w: alg.canonical(w) for w in fc}
     p_star: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
     for w in fc:
         for y, c in columns[w].items():

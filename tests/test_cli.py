@@ -309,11 +309,9 @@ def test_trace_commands_leave_no_evaluator_behind(tmp_path, capsys, monkeypatch)
 B4_TABLES_SHA256 = "c86bb4d81e8d851dba127ed6eac0443ecc1b6bb5c3df4f59096a1e8fc9ff726a"
 
 
-def test_tables_fall_back_to_the_bar_solve(monkeypatch, capsys):
-    # the length recursion refuses part way through the table: p* comes from
-    # the bar-solve for every element, with the same bytes and exit code
-    import hashlib
-
+def refuse_recursion_from_length_3(monkeypatch):
+    """Rig the length recursion to refuse every element of length >= 3 on a
+    fresh algebra; returns the list of refused elements."""
     from tlcox.tl import CanonicalRecursionError, TLAlgebra
 
     original = TLAlgebra.cbasis_recursive
@@ -327,9 +325,55 @@ def test_tables_fall_back_to_the_bar_solve(monkeypatch, capsys):
 
     monkeypatch.setattr(TLAlgebra, "_instances", {})
     monkeypatch.setattr(TLAlgebra, "cbasis_recursive", refuse_long)
+    return refused
+
+
+def test_tables_fall_back_to_the_bar_solve(monkeypatch, capsys):
+    # the length recursion refuses part way through the table: p* comes from
+    # the bar-solve from then on, with the same bytes and exit code
+    import hashlib
+
+    refused = refuse_recursion_from_length_3(monkeypatch)
     code, out, err = run_cli(capsys, "tables", "--preset", "B4")
     assert code == 0 and err == "" and refused
     assert hashlib.sha256(out.encode()).hexdigest() == B4_TABLES_SHA256
+
+
+# the digests of these invocations in the benchmark
+PRODUCT_DIGESTS = {
+    ("structure", "--preset", "B4", "--bound", "5"):
+        "a61d47daf46585a0ed42d615424d5ac166dd1bae08cb8716401f94f88c371f09",
+    ("mu", "--preset", "A4", "--methods", "all"):
+        "80c368d06a708539663daebd70aebeb612ec72635c466961387a7f6cbf5dcb65",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PRODUCT_DIGESTS))
+def test_products_fall_back_to_the_bar_solve(argv, monkeypatch, capsys):
+    # the length recursion refuses part way: canonical coordinates come from
+    # the bar-solve from then on, with the same bytes and exit code
+    import hashlib
+
+    refused = refuse_recursion_from_length_3(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and refused
+    assert hashlib.sha256(out.encode()).hexdigest() == PRODUCT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("structure", "--preset", "B3"), ("mu", "--preset", "A4", "--methods", "all"),
+    ("verify", "B", "--preset", "A4"), ("tables", "--preset", "B4"),
+])
+def test_products_traces_and_tables_never_bar_solve(argv, monkeypatch, capsys):
+    import tlcox.tl
+
+    def no_bar_solve(w, bar_expand):
+        raise AssertionError("bar-solve called")
+
+    monkeypatch.setattr(tlcox.tl.TLAlgebra, "_instances", {})
+    monkeypatch.setattr(tlcox.tl, "bar_solve", no_bar_solve)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
 
 
 def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, capsys):

@@ -1,6 +1,14 @@
+import re
+
 import pytest
 
-from tlcox.coxeter import enumerate_elements, is_commuting_product, preset
+from tlcox.coxeter import (
+    INFINITE,
+    coset_decompose,
+    enumerate_elements,
+    is_commuting_product,
+    preset,
+)
 from tlcox.stars import (
     Coloring,
     bipartite_coloring,
@@ -27,6 +35,65 @@ def test_star_dihedral_examples():
     t = b2.element([1])
     assert star(t, pair, "left", "down") is None
     assert star(t, pair, "right", "down") is None
+
+
+def coset_star(w, pair, side, direction):
+    """The star operation read off the coset decomposition: the rank-2 part
+    of w loses its outer letter (down) or gains the other one (up), and the
+    word is replayed with the rest of w."""
+    g = w.graph
+    dec = coset_decompose(w, pair, side)
+    s, t = dec.pair
+    m = g.m(s, t)
+    a = dec.part_I.length
+    if a == 0 or (m != INFINITE and a == m):
+        return None
+    wi = dec.part_I.word
+    if direction == "down":
+        if a == 1:
+            return None
+        new = wi[1:] if side == "left" else wi[:-1]
+    elif direction == "up":
+        if m != INFINITE and a + 1 > m - 1:
+            return None
+        if side == "left":
+            new = (t if wi[0] == s else s,) + wi
+        else:
+            new = wi + (t if wi[-1] == s else s,)
+    else:
+        raise ValueError("direction must be 'up' or 'down'")
+    if side == "left":
+        return g.element(new + dec.rest.word)
+    return g.element(dec.rest.word + new)
+
+
+@pytest.mark.parametrize("name,bound", [("B4", 16), ("D4", 12), ("H3", 15), ("~A2", 8)])
+def test_star_matches_the_coset_decomposition(name, bound):
+    g = preset(name)
+    steps = 0
+    for w in enumerate_elements(g, bound):
+        for pair in g.noncommuting_pairs():
+            for side in ("left", "right"):
+                for direction in ("up", "down"):
+                    want = coset_star(w, pair, side, direction)
+                    assert star(w, pair, side, direction) is want, (w, pair, side, direction)
+                    steps += want is not None
+    assert steps
+
+
+def test_star_raises_as_the_coset_decomposition_does():
+    b2 = preset("B2")
+    inside, outside = b2.element([1, 0]), b2.identity
+    for w in (inside, outside):
+        for args in [((0, 0), "left", "up"), ((0, 1), "middle", "up"),
+                     ((0, 1), "left", "sideways")]:
+            try:
+                want = coset_star(w, *args)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    star(w, *args)
+            else:
+                assert star(w, *args) is want
 
 
 def test_star_rejects_commuting_pair():

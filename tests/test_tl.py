@@ -161,6 +161,39 @@ def test_cbasis_two_algorithms_agree():
             assert alg.cbasis(w) == alg.cbasis_recursive(w)
 
 
+@pytest.mark.parametrize("name,bound", [
+    ("A4", 10), ("B4", 16), ("H3", 15), ("D4", 12), ("I2(7)", 7), ("~C3", 7),
+])
+def test_canonical_is_the_bar_solve(name, bound):
+    # products, traces and tables read the length recursion; the bar-solve
+    # is the independent route it must reproduce
+    g = preset(name)
+    alg = TLAlgebra(g)
+    for w in enumerate_elements(g, bound, fc_only=True):
+        assert alg.canonical(w) == alg.cbasis(w), (name, w)
+    assert alg._cbasis_rec
+
+
+def test_canonical_falls_back_to_the_bar_solve_after_a_refusal(monkeypatch):
+    g = preset("B3")
+    alg = TLAlgebra(g)
+    original = TLAlgebra.cbasis_recursive
+    calls = []
+
+    def refuse_long(self, w):
+        calls.append(w)
+        if w.length >= 3:
+            raise CanonicalRecursionError("rigged refusal")
+        return original(self, w)
+
+    monkeypatch.setattr(TLAlgebra, "cbasis_recursive", refuse_long)
+    fc = list(enumerate_elements(g, 9, fc_only=True))
+    for w in fc:
+        assert alg.canonical(w) == TLAlgebra(g).cbasis(w)
+    # the recursion is not asked again once it has refused
+    assert [w.length for w in calls if w.length >= 3] == [3]
+
+
 def test_cbasis_example_in_rank3():
     a3 = preset("A3")
     alg = TLAlgebra.for_graph(a3)

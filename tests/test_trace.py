@@ -519,6 +519,34 @@ def test_adjointness_verdict_and_witness_match_the_full_check(bound):
                 assert report.witness == witness, (w, pair)
 
 
+@pytest.mark.parametrize("name,bound", [
+    ("A3", 1), ("A3", 2), ("A3", 3), ("A4", 1), ("A4", 2), ("A4", 3),
+])
+def test_adjointness_past_the_bound_matches_the_full_check(name, bound):
+    # values bumped above the bound, which reach the adjointness sums only
+    # through products: the verdict and the witness stay those of the pair
+    # scan, whether the bump breaks the generator trace identity or not
+    g = preset(name)
+    tr = builtin_trace(g)
+    fc = list(enumerate_elements(g, 2 * bound + 2, fc_only=True))
+    verdicts = set()
+    for w in fc:
+        if w.length <= bound:
+            continue
+        for pair in (False, True):
+            values = {u: tr.tau_c(u) for u in fc}
+            for u in {w, g.inverse(w)} if pair else {w}:
+                values[u] = values[u] + V(-u.length - 2)
+            table = TraceTable(g, values, label="bumped")
+            witness = full_adjointness_witness(g, bound, table)
+            report = verify_property_B(g, bound, table)
+            assert report.lines[0] == f"adjointness: {'FAIL' if witness else 'PASS'}", (w, pair)
+            if witness:
+                assert report.witness == witness, (w, pair)
+            verdicts.add(witness is None)
+    assert False in verdicts
+
+
 class SpySource:
     """A trace source that records every element whose value is read."""
 
