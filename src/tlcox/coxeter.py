@@ -32,9 +32,9 @@ word problems:
   bracket of c decides the rest.
 
 Generators are 0-based internally and rendered 1-based; the identity renders
-as `e`.  Canonical forms and derived data are memoized on the graph
-instance, so equal queries are cheap and elements can be compared and hashed
-like values.
+as `e`.  Elements are interned per graph, so they compare and hash like
+values, and each carries a record that its graph fills as the values are
+found: FC flag, descents, key, products by each generator, inverse.
 """
 
 from __future__ import annotations
@@ -214,9 +214,8 @@ class CoxeterGraph:
     """A Coxeter graph with memoized word-problem machinery."""
 
     __slots__ = (
-        "bonds", "name", "_nbrs", "_braids", "_ring", "_cartan", "_unit_key",
-        "_words", "_elements", "_identity", "_lmul", "_rmul",
-        "_inverse", "_ldesc", "_rdesc", "_fc", "_bruhat", "_levels",
+        "bonds", "name", "rank", "_nbrs", "_braids", "_ring", "_cartan", "_unit_key",
+        "_words", "_elements", "_identity", "_fc", "_bruhat", "_levels",
         "_level_complete",
     )
 
@@ -237,6 +236,7 @@ class CoxeterGraph:
                         raise GraphError("bond matrix must be symmetric")
         self.bonds = bonds
         self.name = name
+        self.rank = n
         # per generator: the generators it does not commute with, itself included
         self._nbrs = tuple(tuple(t for t in range(n) if bonds[s][t] != 2) for s in range(n))
         self._braids = tuple((s, t, bonds[s][t]) for s in range(n) for t in range(s + 1, n)
@@ -257,11 +257,6 @@ class CoxeterGraph:
         self._words: dict[tuple[int, ...], tuple[int, ...]] = {self._unit_key: ()}
         self._elements: dict[tuple[int, ...], GroupElement] = {}
         self._identity: GroupElement | None = None
-        self._lmul: dict[tuple[int, tuple[int, ...]], GroupElement] = {}
-        self._rmul: dict[tuple[tuple[int, ...], int], GroupElement] = {}
-        self._inverse: dict[tuple[int, ...], GroupElement] = {}
-        self._ldesc: dict[tuple[int, ...], frozenset[int]] = {}
-        self._rdesc: dict[tuple[int, ...], frozenset[int]] = {}
         self._fc: dict[tuple[int, ...], tuple[int, ...] | None] = {}
         self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         # indexed by fc_only: all elements, fully commutative ones
@@ -269,10 +264,6 @@ class CoxeterGraph:
         self._level_complete = [False, False]
 
     # -- structure ----------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return len(self.bonds)
 
     def m(self, s: int, t: int) -> int | float:
         return self.bonds[s][t]
@@ -385,7 +376,8 @@ class CoxeterGraph:
 
     def _from_roots(self, key: tuple[int, ...]) -> "GroupElement":
         el = self._intern(self._word_of(key))
-        el.roots = key
+        if el.roots is None:  # else keep the one copy, shared with _words
+            el.roots = key
         return el
 
     # -- heaps --------------------------------------------------------------------
@@ -432,10 +424,13 @@ class CoxeterGraph:
         word = tuple(word)
         got = self._fc.get(word, _MISSING)
         if got is _MISSING:
-            got = self._fc[word] = self._heap_normal_form(word)
+            heap = self._heap_normal_form(word)
+            got = self._fc[word] = heap[0] if heap else None
         return got
 
-    def _heap_normal_form(self, word: tuple[int, ...]) -> tuple[int, ...] | None:
+    def _heap_normal_form(self, word: tuple[int, ...]):
+        """(canonical word, left descents, right descents) if `word` is a
+        reduced word of a fully commutative element, else None."""
         n = len(word)
         down, up = self.heap(word)
         occ: list[list[int]] = [[] for _ in range(self.rank)]
@@ -468,12 +463,24 @@ class CoxeterGraph:
             out.append(a)
             ptr[a] += 1
             left ^= 1 << i
-        return tuple(out)
+        return (tuple(out),  # the labels of the minimal and of the maximal elements
+                frozenset(word[i] for i in range(n) if down[i] == 1 << i),
+                frozenset(word[i] for i in range(n) if up[i] == 1 << i))
 
     def _intern(self, word: tuple[int, ...]) -> GroupElement:
         el = self._elements.get(word)
         if el is None:
             el = self._elements[word] = GroupElement(self, word)
+        return el
+
+    def _fc_element(self, word: tuple[int, ...]) -> GroupElement | None:
+        """The element of `word`, with FC flag and descents from its heap, if
+        `word` is a reduced word of a fully commutative element; else None."""
+        heap = self._heap_normal_form(word)
+        if heap is None:
+            return None
+        el = self._intern(heap[0])
+        el.fc, el.ldesc, el.rdesc = True, heap[1], heap[2]
         return el
 
     def element(self, word: Iterable[int] = ()) -> GroupElement:
@@ -500,33 +507,33 @@ class CoxeterGraph:
 
     def lmul(self, s: int, w: "GroupElement") -> "GroupElement":
         """The product s*w (length goes up or down by one)."""
-        key = (s, w.word)
-        got = self._lmul.get(key)
-        if got is None:
-            if not self.is_fully_commutative(w):
-                got = self._from_roots(self._lmul_roots(s, self._roots(w)))
-                if len(got.word) > len(w.word):  # w is a factor: not FC either
-                    self._fc.setdefault(got.word, None)
-            elif s in self.left_descents(w):
-                i = w.word.index(s)
-                got = self.element(w.word[:i] + w.word[i + 1:])
-            else:
-                got = self.element((s,) + w.word)
-            self._lmul[key] = got
-        return got
+        w = w if w.graph is self else self.element(w.word)
+        got = w.lnbr[s]
+        return got if got is not None else self._step(w, s, True)
 
     def rmul(self, w: "GroupElement", s: int) -> "GroupElement":
-        key = (w.word, s)
-        got = self._rmul.get(key)
-        if got is None:
-            if not self.is_fully_commutative(w):
-                got = self._from_roots(self._rmul_roots(self._roots(w), s))
-            elif s in self.right_descents(w):
-                i = len(w.word) - 1 - w.word[::-1].index(s)
-                got = self.element(w.word[:i] + w.word[i + 1:])
-            else:
-                got = self.element(w.word + (s,))
-            self._rmul[key] = got
+        w = w if w.graph is self else self.element(w.word)
+        got = w.rnbr[s]
+        return got if got is not None else self._step(w, s, False)
+
+    def _step(self, w: "GroupElement", s: int, left: bool) -> "GroupElement":
+        """s*w (left) or w*s, recorded on both factors: the heap when w is
+        fully commutative and so is the product, the roots otherwise."""
+        word = w.word
+        fc = self.is_fully_commutative(w)
+        if fc and s in (w.ldesc if left else w.rdesc):
+            i = word.index(s) if left else len(word) - 1 - word[::-1].index(s)
+            got = self._fc_element(word[:i] + word[i + 1:])
+        else:
+            got = self._fc_element((s,) + word if left else word + (s,)) if fc else None
+            if got is None:
+                key = self._roots(w)
+                got = self._from_roots(self._lmul_roots(s, key) if left
+                                       else self._rmul_roots(key, s))
+                if len(got.word) > len(word):  # w is a factor: not FC either
+                    got.fc = False
+        (w.lnbr if left else w.rnbr)[s] = got
+        (got.lnbr if left else got.rnbr)[s] = w
         return got
 
     def mul(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
@@ -536,36 +543,32 @@ class CoxeterGraph:
         return out
 
     def inverse(self, w: "GroupElement") -> "GroupElement":
-        got = self._inverse.get(w.word)
+        """The reversed word when w is fully commutative, else (s*w)^-1 * s
+        for s the first letter of w."""
+        w = w if w.graph is self else self.element(w.word)
+        got = w.inv
         if got is None:
-            got = self.element(tuple(reversed(w.word)))
-            self._inverse[w.word] = got
+            if self.is_fully_commutative(w):
+                got = self._fc_element(w.word[::-1])
+            else:
+                got = self.rmul(self.inverse(self.lmul(w.word[0], w)), w.word[0])
+            w.inv, got.inv = got, w
         return got
 
     # -- descents and order -------------------------------------------------------
 
     def left_descents(self, w: "GroupElement") -> frozenset[int]:
-        got = self._ldesc.get(w.word)
-        if got is None:
-            if self.is_fully_commutative(w):
-                down, _ = self.heap(w.word)  # the labels of the minimal elements
-                got = frozenset(a for a, d in zip(w.word, down) if d.bit_count() == 1)
-            else:
-                key = self._roots(w)
-                got = frozenset(t for t in self.generators() if self._negative(key, t))
-            self._ldesc[w.word] = got
-        return got
+        w = w if w.graph is self else self.element(w.word)
+        if w.ldesc is None and not self.is_fully_commutative(w):  # FC: from the heap
+            key = self._roots(w)
+            w.ldesc = frozenset(t for t in self.generators() if self._negative(key, t))
+        return w.ldesc
 
     def right_descents(self, w: "GroupElement") -> frozenset[int]:
-        got = self._rdesc.get(w.word)
-        if got is None:
-            if self.is_fully_commutative(w):
-                _, up = self.heap(w.word)  # the labels of the maximal elements
-                got = frozenset(a for a, u in zip(w.word, up) if u.bit_count() == 1)
-            else:
-                got = self.left_descents(self.inverse(w))
-            self._rdesc[w.word] = got
-        return got
+        w = w if w.graph is self else self.element(w.word)
+        if w.rdesc is None and not self.is_fully_commutative(w):  # FC: from the heap
+            w.rdesc = self.left_descents(self.inverse(w))
+        return w.rdesc
 
     def bruhat_leq(self, x: "GroupElement", w: "GroupElement") -> bool:
         """Bruhat order, decided by the descent-lifting recursion.
@@ -600,7 +603,10 @@ class CoxeterGraph:
     def is_fully_commutative(self, w: "GroupElement") -> bool:
         """True iff no reduced word of w contains a full alternating braid
         factor; read off the heap of its canonical word."""
-        return self.fc_normal_form_word(w.word) is not None
+        w = w if w.graph is self else self.element(w.word)
+        if w.fc is None:
+            w.fc = self._fc_element(w.word) is not None
+        return w.fc
 
     # -- enumeration ------------------------------------------------------------
 
@@ -621,9 +627,7 @@ class CoxeterGraph:
             for w in levels[-1]:
                 desc = self.left_descents(w)
                 for s in self.generators():
-                    if s in desc:
-                        continue
-                    if fc_only and self.fc_normal_form_word((s,) + w.word) is None:
+                    if s in desc or fc_only and self.fc_normal_form_word((s,) + w.word) is None:
                         continue
                     nxt.add(self.lmul(s, w))
             if not nxt:
@@ -637,16 +641,21 @@ class GroupElement:
     """A group element held as its ShortLex-least reduced word.
 
     Instances are interned per graph (create them via ``graph.element``), so
-    equality checks in hot paths are usually identity checks.
+    equality checks in hot paths are usually identity checks.  The record
+    (FC flag, left and right descents, key, s*w and w*s for each generator
+    s, inverse) is filled by the element's own graph only, each value when
+    first found; descents are set with the FC flag when it is True.
     """
 
-    __slots__ = ("graph", "word", "_hash", "roots")
+    __slots__ = ("graph", "word", "_hash", "roots", "fc", "ldesc", "rdesc",
+                 "lnbr", "rnbr", "inv")
 
     def __init__(self, graph: CoxeterGraph, word: tuple[int, ...]):
         self.graph = graph
         self.word = word
         self._hash = hash(word)
-        self.roots: tuple[int, ...] | None = None  # the key, once the root route needs it
+        self.roots = self.fc = self.ldesc = self.rdesc = self.inv = None
+        self.lnbr, self.rnbr = [None] * graph.rank, [None] * graph.rank
 
     @property
     def length(self) -> int:

@@ -114,7 +114,7 @@ class HeckeAlgebra:
             if not w.word:
                 cached = self.unit()
             else:
-                rest = self.bar_basis(self.graph.element(w.word[1:]))
+                rest = self.bar_basis(self.graph.lmul(w.word[0], w))
                 cached = self.lmul(w.word[0], rest)
                 acc(cached, rest, -V_MINUS_VINV)
             self._check_cap(len(self._bar) + 1)  # each entry, before it is kept
@@ -136,7 +136,7 @@ class HeckeAlgebra:
             if not w.word:
                 cached = self.unit()
             else:
-                s, wp = w.word[0], self.graph.element(w.word[1:])
+                s, wp = w.word[0], self.graph.lmul(w.word[0], w)
                 cp = self.kl_basis(wp)
                 cached = self.lmul(s, cp)
                 acc(cached, cp, V_INV)
@@ -266,46 +266,45 @@ class HeckeElement:
         return "\n".join(lines)
 
 
-def format_q(p: LaurentPoly) -> str:
-    """Render a Laurent polynomial with even v-exponents as a polynomial in
-    q = v^2."""
-    if not p.has_parity(0):
-        raise ValueError(f"{p.format()} has odd exponents; not a polynomial in q")
-    return format_terms(sorted(((e // 2, c) for e, c in p.items()), reverse=True), "q")
+def format_q(p: LaurentPoly, shift: int = 0) -> str:
+    """Render v^shift p, a Laurent polynomial with even v-exponents, as a
+    polynomial in q = v^2."""
+    if not p.has_parity(shift):
+        raise ValueError(f"{(LaurentPoly.v(shift) * p).format()} has odd exponents; "
+                         "not a polynomial in q")
+    return format_terms(sorted((((e + shift) // 2, c) for e, c in p.items()), reverse=True), "q")
 
 
 @dataclass
 class KLTables:
     """Classical polynomial and top-coefficient tables on all pairs up to a
-    length bound."""
+    length bound, read off the oracle's columns p*(-, w)."""
 
     graph: CoxeterGraph
     bound: int
     elements: list[GroupElement]
-    p_star: dict[tuple[GroupElement, GroupElement], LaurentPoly]
-    mu: dict[tuple[GroupElement, GroupElement], int]
+    columns: dict[GroupElement, Coords]
 
     def mu_coeff(self, x: GroupElement, w: GroupElement) -> int:
-        return self.mu.get((x, w), 0)
+        return self.columns.get(w, {}).get(x, ZERO).coeff(-1)
 
     def mu_tilde(self, x: GroupElement, y: GroupElement) -> int:
         return self.mu_coeff(x, y) if x.length <= y.length else self.mu_coeff(y, x)
 
     def polynomial(self, y: GroupElement, w: GroupElement) -> LaurentPoly:
         """P(y, w) = v^(len(w)-len(y)) p*(y, w), a polynomial in q."""
-        return LaurentPoly.v(w.length - y.length) * self.p_star.get((y, w), ZERO)
+        return LaurentPoly.v(w.length - y.length) * self.columns.get(w, {}).get(y, ZERO)
 
     def dump_tsv(self) -> str:
         pos = {w: i for i, w in enumerate(self.elements)}
-        columns: dict[GroupElement, list[GroupElement]] = {}
-        for y, w in self.p_star:
-            columns.setdefault(w, []).append(y)
-        names = {w: format_element(w) for w in self.elements}
+        names = [format_element(w) for w in self.elements]
         lines = ["y\tw\tP\tmu"]
-        for w in self.elements:
-            for y in sorted(columns.get(w, ()), key=pos.__getitem__):
-                lines.append(f"{names[y]}\t{names[w]}\t"
-                             f"{format_q(self.polynomial(y, w))}\t{self.mu.get((y, w), 0)}")
+        for w, col in self.columns.items():
+            head, lw = names[pos[w]], len(w.word)
+            for i in sorted(map(pos.__getitem__, col)):
+                y = self.elements[i]
+                lines.append(f"{names[i]}\t{head}\t{format_q(col[y], lw - len(y.word))}\t"
+                             f"{col[y].coeff(-1)}")
         return "\n".join(lines) + "\n"
 
 
@@ -316,14 +315,6 @@ def kl_tables(graph: CoxeterGraph, length_bound: int,
     alg = HeckeAlgebra.for_graph(graph)
     els = list(enumerate_elements(graph, length_bound))
     alg._check_cap(len(els))
-    p_star: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
-    mu: dict[tuple[GroupElement, GroupElement], int] = {}
-    for w in els:
-        if fc_columns_only and not w.is_fully_commutative():
-            continue
-        for y, c in alg.kl_basis(w).items():
-            p_star[(y, w)] = c
-            m = c.coeff(-1)
-            if m:
-                mu[(y, w)] = m
-    return KLTables(graph, length_bound, els, p_star, mu)
+    columns = {w: alg.kl_basis(w) for w in els
+               if not fc_columns_only or w.is_fully_commutative()}
+    return KLTables(graph, length_bound, els, columns)

@@ -290,7 +290,7 @@ class TLAlgebra:
             if not w.word:
                 cached = self.unit()
             else:
-                rest = self.graph.element(w.word[1:])
+                rest = self.graph.lmul(w.word[0], w)
                 cached = self.lmul(w.word[0], self.expand(rest))
             self._expand[w] = cached
         return cached
@@ -315,7 +315,7 @@ class TLAlgebra:
             if not w.word:
                 cached = self.unit()
             else:
-                rest = self.bar_basis(self.graph.element(w.word[1:]))
+                rest = self.bar_basis(self.graph.lmul(w.word[0], w))
                 cached = self.lmul(w.word[0], rest)
                 acc(cached, rest, -V_MINUS_VINV)
             self._bar[w] = cached

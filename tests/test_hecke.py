@@ -391,3 +391,8 @@ def test_format_q():
     assert format_q(ONE) == "1"
     with pytest.raises(ValueError):
         format_q(V(1))
+    # shifted by v^k without building v^k * p
+    assert format_q(LaurentPoly({-1: 1, 1: 1}), 1) == "q + 1"
+    assert format_q(LaurentPoly({-3: 2}), 3) == "2"
+    with pytest.raises(ValueError, match="v\\^3 has odd"):
+        format_q(V(2), 1)

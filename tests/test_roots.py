@@ -56,12 +56,15 @@ def test_root_route_matches_closure(name, bound):
         assert {t for t in g.generators() if g._negative(key, t)} == ref.left_descents(w.word)
         assert w.left_descents() == ref.left_descents(w.word)
         assert w.right_descents() == ref.right_descents(w.word)
+        assert g.inverse(w).word == ref.normal_form(w.word[::-1])
+        assert g.inverse(g.inverse(w)) is w
         assert g.reduced_words(w) == ref.closure(w.word)
         for s in g.generators():
             assert g.lmul(s, w).word == ref.lmul(s, w.word), (w, s)
             assert g.rmul(w, s).word == ref.rmul(w.word, s), (w, s)
     # random words on a fresh instance, then down to the identity by left
-    # descents, so that elements are met before their left factors
+    # descents, so that elements are met before their left factors; right
+    # descents and inverses first, so that the inverse starts from nothing
     h = fresh(name)
     rng = random.Random(name)
     shorter = 0
@@ -69,11 +72,29 @@ def test_root_route_matches_closure(name, bound):
         word = [rng.randrange(h.rank) for _ in range(rng.randint(0, bound + 2))]
         w = normal_form(h, word)
         assert w.word == ref.normal_form(word), word
+        assert w.right_descents() == ref.right_descents(w.word), w
+        assert h.inverse(w).word == ref.normal_form(w.word[::-1]), w
         shorter += len(w.word) < len(word)
         while w.word:
             assert w.is_fully_commutative() == ref.is_fc(w.word), w
             w = h.lmul(min(w.left_descents()), w)
     assert shorter >= 20  # many of the words are not reduced
+
+
+def test_records_belong_to_their_graph():
+    # an element's record is filled by its own graph only: another graph with
+    # the same bonds that multiplies or inverts it first answers with its own
+    # elements and leaves nothing of them on the record
+    words = [w.word for w in enumerate_elements(fresh("D4"), 12)]
+    g, h = fresh("D4"), fresh("D4")
+    for word in words:
+        w = h.element(word)
+        via_g = ([g.lmul(s, w) for s in g.generators()]
+                 + [g.rmul(w, s) for s in g.generators()] + [g.inverse(w)])
+        via_h = ([h.lmul(s, w) for s in h.generators()]
+                 + [h.rmul(w, s) for s in h.generators()] + [h.inverse(w)])
+        assert [x.word for x in via_g] == [x.word for x in via_h], w
+        assert all(x.graph is g for x in via_g) and all(x.graph is h for x in via_h), w
 
 
 @pytest.mark.parametrize("name,order,longest", [
