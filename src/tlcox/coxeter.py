@@ -257,7 +257,7 @@ class CoxeterGraph:
         self._words: dict[tuple[int, ...], tuple[int, ...]] = {self._unit_key: ()}
         self._elements: dict[tuple[int, ...], GroupElement] = {}
         self._identity: GroupElement | None = None
-        self._fc: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+        self._fc: dict[tuple[int, ...], GroupElement | None] = {}
         self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         # indexed by fc_only: all elements, fully commutative ones
         self._levels: tuple[list[list[GroupElement]], ...] = ([], [])
@@ -424,9 +424,8 @@ class CoxeterGraph:
         word = tuple(word)
         got = self._fc.get(word, _MISSING)
         if got is _MISSING:
-            heap = self._heap_normal_form(word)
-            got = self._fc[word] = heap[0] if heap else None
-        return got
+            got = self._fc[word] = self._fc_element(word)
+        return None if got is None else got.word
 
     def _heap_normal_form(self, word: tuple[int, ...]):
         """(canonical word, left descents, right descents) if `word` is a
@@ -510,6 +509,15 @@ class CoxeterGraph:
         w = w if w.graph is self else self.element(w.word)
         got = w.lnbr[s]
         return got if got is not None else self._step(w, s, True)
+
+    def fc_lmul(self, s: int, w: "GroupElement") -> "GroupElement | None":
+        """s*w if it is fully commutative, else None (w fully commutative, s not
+        a left descent): one memoized heap of s.w decides and builds it."""
+        got = w.lnbr[s]
+        if got is None and self.fc_normal_form_word((s,) + w.word) is not None:
+            got = self._fc[(s,) + w.word]
+            w.lnbr[s], got.lnbr[s] = got, w
+        return got if got is not None and self.is_fully_commutative(got) else None
 
     def rmul(self, w: "GroupElement", s: int) -> "GroupElement":
         w = w if w.graph is self else self.element(w.word)
@@ -626,10 +634,9 @@ class CoxeterGraph:
             nxt = set()
             for w in levels[-1]:
                 desc = self.left_descents(w)
-                for s in self.generators():
-                    if s in desc or fc_only and self.fc_normal_form_word((s,) + w.word) is None:
-                        continue
-                    nxt.add(self.lmul(s, w))
+                nxt.update(self.fc_lmul(s, w) if fc_only else self.lmul(s, w)
+                           for s in self.generators() if s not in desc)
+            nxt.discard(None)
             if not nxt:
                 self._level_complete[fc_only] = True
                 break

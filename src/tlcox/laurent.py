@@ -91,9 +91,6 @@ class LaurentPoly:
         """Largest exponent; raises on the zero polynomial."""
         return max(self._c)
 
-    def min_exp(self) -> int:
-        return min(self._c)
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
@@ -209,10 +206,6 @@ class LaurentPoly:
         return all((e & 1) == parity for e in self._c)
 
     # -- sublattice predicates ----------------------------------------------
-
-    def in_pos(self) -> bool:
-        """Membership in Z[v] (no negative exponents)."""
-        return all(e >= 0 for e in self._c)
 
     def in_neg(self) -> bool:
         """Membership in Z[v^-1] (no positive exponents)."""

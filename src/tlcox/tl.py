@@ -10,22 +10,20 @@ rewrites as
 Multiplication by a generator therefore has three cases on a basis element
 t_w: shorten (descent), extend (still fully commutative), or rewrite by the
 relation above after splitting off the commuting prefix.  Everything else is
-built on top of that kernel: the bar involution (by inverting generators),
-the canonical basis (two independent algorithms: a triangular bar-solve and
-a length recursion driven by the v^-1 coefficients), the p*/q*/M coefficient
-tables, products in canonical coordinates, sublattice membership, and the
-dihedral canonical basis built from the three-term second-kind Chebyshev
-recurrence.
+built on that kernel: the bar involution (by inverting generators), the
+canonical basis (a triangular bar-solve and a length recursion driven by the
+v^-1 coefficients), the p*/q*/M tables, products in canonical coordinates,
+sublattice membership, and the dihedral canonical basis from the three-term
+second-kind Chebyshev recurrence.
 
 Tables, products and traces read the canonical basis through `canonical`:
 the length recursion, which certifies itself (it raises unless every column
 comes out unitriangular and depressed, and each is bar-invariant by
 construction), or the bar-solve once the recursion has raised on the
-algebra; `basis` compares the two.  q* is computed twice and the two must
-agree exactly: by inverting the p*-matrix, and by the descent recursion for
+algebra; `basis` compares the two.  q* comes from the descent recursion for
 q (one column q(., w) at a time from column s w), which never reads the
-canonical basis.  Keeping the second route off the canonical basis is what
-makes the agreement a check on p* rather than a restatement of it.
+canonical basis, and the tables check each column against p* (P Q = I, in
+packed integers): the check tests p* rather than restating it.
 
 Products of canonical basis elements stay in canonical coordinates: c_x c_y
 follows from a memoized table of c_s c_w by peeling the first letter of x
@@ -51,7 +49,7 @@ from .coxeter import (
     format_element,
     parse_element,
 )
-from .laurent import ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, parse_poly
+from .laurent import ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, format_terms, parse_poly
 from .stars import PropertyReport
 
 Coords = dict[GroupElement, LaurentPoly]
@@ -157,31 +155,11 @@ def _add_shifted(raw: dict[GroupElement, dict[int, int]], x: GroupElement,
                  poly: LaurentPoly, shift: int, scale: int) -> None:
     """raw[x] += scale * v^shift * poly, on exponent -> coefficient dicts
     (zeros are left for the caller to drop)."""
-    coeffs = raw.get(x)
-    if coeffs is None:
-        coeffs = raw[x] = {}
+    coeffs = raw.setdefault(x, {})
     get = coeffs.get
     for e, c in poly._c.items():
         e += shift
         coeffs[e] = get(e, 0) + scale * c
-
-
-def _push(pending: dict[GroupElement, dict[int, int]], column: Coords,
-          coeffs: dict[int, int], skip: GroupElement) -> None:
-    """pending[y] += coeffs * column[y] for every y in column but skip, on
-    exponent -> coefficient dicts (zeros are left for the caller to drop)."""
-    for y, p in column.items():
-        if y is skip:
-            continue
-        acc_y = pending.get(y)
-        if acc_y is None:
-            acc_y = pending[y] = {}
-        get = acc_y.get
-        terms = p._c.items()
-        for ea, ca in coeffs.items():
-            for eb, cb in terms:
-                e = ea + eb
-                acc_y[e] = get(e, 0) + ca * cb
 
 
 def _dihedral_proper_words(s: int, t: int, m: int) -> list[tuple[int, ...]]:
@@ -232,8 +210,8 @@ class TLAlgebra:
         g = self.graph
         if s in g.left_descents(w):
             out = {g.lmul(s, w): ONE, w: V_MINUS_VINV}
-        elif g.fc_normal_form_word((s,) + w.word) is not None:
-            out = {g.lmul(s, w): ONE}
+        elif (sw := g.fc_lmul(s, w)) is not None:
+            out = {sw: ONE}
         else:
             # s*w is not fully commutative; it is never built as an element
             w1, w2, w3, t = decompose_fc_prefix(w, s)
@@ -266,12 +244,6 @@ class TLAlgebra:
         out: Coords = {}
         for w, c in coords.items():
             acc(out, self.lgen(s, w), c)
-        return out
-
-    def rmul(self, coords: Coords, s: int) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.rgen(w, s), c)
         return out
 
     def unit(self) -> Coords:
@@ -385,14 +357,11 @@ class TLAlgebra:
                 self._recursion_failed = True
         return self.cbasis(w)
 
-    def p_star(self, y: GroupElement, w: GroupElement) -> LaurentPoly:
-        if not (y.is_fully_commutative() and w.is_fully_commutative()):
-            return ZERO
-        return self.canonical(w).get(y, ZERO)
-
     def m_coeff(self, y: GroupElement, w: GroupElement) -> int:
         """The v^-1 coefficient of p*(y, w)."""
-        return self.p_star(y, w).coeff(-1)
+        if not (y.is_fully_commutative() and w.is_fully_commutative()):
+            return 0
+        return self.canonical(w).get(y, ZERO).coeff(-1)
 
     def m_tilde(self, x: GroupElement, y: GroupElement) -> int:
         return self.m_coeff(x, y) if x.length <= y.length else self.m_coeff(y, x)
@@ -479,8 +448,8 @@ class TLAlgebra:
                     _add_shifted(raw, y, qy, 2, -1)
                     continue
                 _add_shifted(raw, y, qy, 0, 1)
-                if g.fc_normal_form_word((s,) + y.word) is not None:
-                    _add_shifted(raw, g.lmul(s, y), qy, 0, 1)
+                if (sy := g.fc_lmul(s, y)) is not None:
+                    _add_shifted(raw, sy, qy, 0, 1)
                 ly = len(y.word)
                 for x, qx in self.q_column(y).items():
                     d = ly - len(x.word)
@@ -681,97 +650,128 @@ def parse_tl(graph: CoxeterGraph, text: str) -> TLElement:
 
 @dataclass
 class CoeffTables:
-    """p*, q* and the integer v^-1 coefficients M on all fully commutative
-    pairs up to the bound, with both q* routes reconciled."""
+    """p* and q* up to the bound by columns w: p_columns[w] = canonical(w),
+    y -> p*(y, w), and q_columns[w] = q_column(w), y -> q(y, w) =
+    v^(len(w) - len(y)) q*(y, w); M(y, w) is the v^-1 coefficient of p*."""
 
     graph: CoxeterGraph
     bound: int
     elements: list[GroupElement]
-    p_star: dict[tuple[GroupElement, GroupElement], LaurentPoly]
-    q_star: dict[tuple[GroupElement, GroupElement], LaurentPoly]
-    m: dict[tuple[GroupElement, GroupElement], int]
+    p_columns: dict[GroupElement, Coords]
+    q_columns: dict[GroupElement, Coords]
 
     def m_coeff(self, x: GroupElement, w: GroupElement) -> int:
-        return self.m.get((x, w), 0)
+        return self.p_columns.get(w, {}).get(x, ZERO).coeff(-1)
 
-    def m_tilde(self, x: GroupElement, y: GroupElement) -> int:
-        return self.m_coeff(x, y) if x.length <= y.length else self.m_coeff(y, x)
+    @property
+    def q_star(self) -> dict[tuple[GroupElement, GroupElement], LaurentPoly]:
+        """Every nonzero q*(y, w), keyed by the pair; built on each call."""
+        return {(y, w): LaurentPoly.v(y.length - w.length) * q
+                for w, col in self.q_columns.items() for y, q in col.items()}
 
     def dump_tsv(self) -> str:
         """One row per pair with p* or q* nonzero, column by column, each
         column's rows in element order."""
-        names = {w: format_element(w) for w in self.elements}
-        order = {w: i for i, w in enumerate(self.elements)}
-        rows: dict[GroupElement, list[GroupElement]] = {}
-        for y, w in self.p_star.keys() | self.q_star.keys():
-            rows.setdefault(w, []).append(y)
+        pos = {w: i for i, w in enumerate(self.elements)}
+        names = [format_element(w) for w in self.elements]
         lines = ["y\tw\tp_star\tq_star\tM"]
-        for w in self.elements:
-            for y in sorted(rows.get(w, ()), key=order.__getitem__):
-                lines.append(f"{names[y]}\t{names[w]}\t{self.p_star.get((y, w), ZERO).format()}\t"
-                             f"{self.q_star.get((y, w), ZERO).format()}\t{self.m.get((y, w), 0)}")
+        for w, head in zip(self.elements, names):
+            pcol, qcol, lw = self.p_columns[w], self.q_columns[w], len(w.word)
+            for i in sorted(map(pos.__getitem__, pcol.keys() | qcol.keys())):
+                y = self.elements[i]
+                p, shift = pcol.get(y, ZERO), len(y.word) - lw
+                q = sorted(((e + shift, c) for e, c in qcol.get(y, ZERO).items()), reverse=True)
+                lines.append(f"{names[i]}\t{head}\t{p.format()}\t{format_terms(q, 'v')}\t"
+                             f"{p.coeff(-1)}")
         return "\n".join(lines) + "\n"
 
 
-def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
-    """Build the tables.
+def _first_unreconciled(elements: list[GroupElement], p_columns: dict[GroupElement, Coords],
+                        q_columns: dict[GroupElement, Coords],
+                        bits: int | None = None) -> GroupElement | None:
+    """The first w of `elements` whose column fails, for some y, the identity
+    sum_z p(y, z) (-1)^(len(z) + len(w)) q(z, w) = [y = w], p(y, z) =
+    v^(len(z) - len(y)) p*(y, z): as P is unitriangular, the column of its
+    inverse alone passes.  None if all pass.  Every polynomial, shifted by
+    one global power of v to nonnegative exponents, is evaluated at X =
+    2^bits (Kronecker substitution).  With N the largest q column and A, B
+    the largest l1-norms of a p* and a q entry, residual coefficients are at
+    most N*A*B + 1 < X by default, so a zero evaluation is a zero residual:
+    the lowest nonzero coefficient would have to be divisible by X."""
+    qs = [q._c for col in q_columns.values() for q in col.values()]
+    a = max((sum(map(abs, p._c.values())) for col in p_columns.values() for p in col.values()),
+            default=0)
+    op = max((len(y.word) - lz - min(p._c) for z, col in p_columns.items()
+              for lz in (len(z.word),) for y, p in col.items()), default=0)
+    op, oq = max(op, 0), max(-min(map(min, qs), default=0), 0)
+    if bits is None:
+        n = max(map(len, q_columns.values()), default=0)
+        bits = (n * a * max((sum(map(abs, c.values())) for c in qs), default=0) + 1).bit_length()
+    pos = {w: i for i, w in enumerate(elements)}
+    packed = {}  # z -> (position of y, (-1)^len(z) p(y, z)) for y in the column
+    for z, col in p_columns.items():
+        lz = len(z.word)
+        packed[z] = [(pos[y], sum((-c if lz % 2 else c) << bits * (e + lz - len(y.word) + op)
+                                  for e, c in p._c.items())) for y, p in col.items()]
+    one = 1 << bits * (op + oq)
+    for i, w in enumerate(elements):
+        res = [0] * len(elements)
+        res[i] = one if len(w.word) % 2 else -one
+        for z, q in q_columns[w].items():
+            x = sum(c << bits * (e + oq) for e, c in q._c.items())
+            for j, pz in packed[z]:
+                res[j] += pz * x
+        if any(res):
+            return w
+    return None
 
-    p* is read off the canonical basis (`canonical`: the length recursion,
-    or the bar-solve once the recursion has raised).  q* is computed twice:
-    by inverting the p*-matrix, and by the descent recursion (`q_column`),
-    which never reads the canonical basis, so the agreement checks p*.  The
-    two routes are compared column by column and must agree exactly; so
-    must the v^-1 coefficients of p* and q*."""
+
+def _inverted_column(w: GroupElement, p_columns: dict[GroupElement, Coords]) -> Coords:
+    """Column w of q* = (-1)^(len(z) + len(w)) inv[z] by inverting P on
+    exponent dicts, z descending in the (ShortLex) order of p_columns:
+    inv[z] = [z = w] - sum over y above z of p*(z, y) inv[y], each inv[y]
+    pushed through column y once known."""
+    col: Coords = {}
+    pending: dict[GroupElement, dict[int, int]] = {w: {0: -1}}
+    for z in reversed(p_columns):
+        inv = {e: -c for e, c in pending.pop(z, {}).items() if c}
+        if inv:
+            col[z] = LaurentPoly._raw(inv) * (-1) ** (z.length + w.length)
+            for y, p in p_columns[z].items():
+                if y is not z:
+                    total = pending.setdefault(y, {})
+                    for ea, ca in inv.items():
+                        for eb, cb in p._c.items():
+                            total[ea + eb] = total.get(ea + eb, 0) + ca * cb
+    return col
+
+
+def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
+    """Build the tables: p* off the canonical basis (`canonical`), q off the
+    descent recursion (`q_column`), which never reads it.  Each q column must
+    be the column of the inverse of the p*-matrix (`_first_unreconciled`);
+    only a column that fails is inverted, to name the first y where the two
+    q* differ.  The v^-1 coefficients of p* and q* must agree too."""
     alg = TLAlgebra.for_graph(graph)
     fc = list(enumerate_elements(graph, length_bound, fc_only=True))
-    columns = {w: alg.canonical(w) for w in fc}
-    p_star: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
+    p_columns = {w: alg.canonical(w) for w in fc}
+    q_columns = {w: alg.q_column(w) for w in fc}
+    w = _first_unreconciled(fc, p_columns, q_columns)
+    if w is not None:
+        col = _inverted_column(w, p_columns)
+        recur = {x: LaurentPoly.v(x.length - w.length) * q for x, q in q_columns[w].items()}
+        y = min(y for y in col.keys() | recur.keys() if col.get(y, ZERO) != recur.get(y, ZERO))
+        raise InternalConsistencyError(
+            f"q*({format_element(y)}, {format_element(w)}): matrix inversion gives "
+            f"{col.get(y, ZERO).format()} but the recursion gives "
+            f"{recur.get(y, ZERO).format()}")
     for w in fc:
-        for y, c in columns[w].items():
-            p_star[(y, w)] = c
-    # invert the unitriangular matrix one column at a time, top down:
-    # inv[z] = -sum over y above z of p*(z, y) inv[y].  Each finished inv[y]
-    # is pushed through column y of p* into the pending sums, so only nonzero
-    # p* entries are visited; q*(z, w) = (-1)^(len(z) + len(w)) inv[z].
-    q_star: dict[tuple[GroupElement, GroupElement], LaurentPoly] = {}
-    for wi, w in enumerate(fc):
-        col: Coords = {w: ONE}
-        pending: dict[GroupElement, dict[int, int]] = {}
-        _push(pending, columns[w], {0: 1}, w)
-        sign_w = w.length % 2
-        for zi in range(wi - 1, -1, -1):
-            z = fc[zi]
-            total = pending.pop(z, None)
-            if total is None:
-                continue
-            inv = {e: -c for e, c in total.items() if c}
-            if inv:
-                _push(pending, columns[z], inv, z)
-                col[z] = LaurentPoly._raw(
-                    inv if (z.length + sign_w) % 2 == 0 else {e: -c for e, c in inv.items()})
-        # reconcile with the recursion route, column against column
-        lw = w.length
-        recur = {x: LaurentPoly._raw({e + len(x.word) - lw: c for e, c in q._c.items()})
-                 for x, q in alg.q_column(w).items()}
-        if recur != col:
-            y = min(y for y in col.keys() | recur.keys()
-                    if col.get(y, ZERO) != recur.get(y, ZERO))
-            raise InternalConsistencyError(
-                f"q*({format_element(y)}, {format_element(w)}): matrix inversion gives "
-                f"{col.get(y, ZERO).format()} but the recursion gives "
-                f"{recur.get(y, ZERO).format()}")
-        for z, val in col.items():
-            q_star[(z, w)] = val
-    m: dict[tuple[GroupElement, GroupElement], int] = {}
-    for (y, w), p in p_star.items():
-        mc = p.coeff(-1)
-        if mc != q_star.get((y, w), ZERO).coeff(-1):
-            raise InternalConsistencyError(
-                f"v^-1 coefficients of p* and q* disagree at "
-                f"({format_element(y)}, {format_element(w)})")
-        if mc:
-            m[(y, w)] = mc
-    return CoeffTables(graph, length_bound, fc, p_star, q_star, m)
+        for y, p in p_columns[w].items():
+            if p.coeff(-1) != q_columns[w].get(y, ZERO).coeff(w.length - y.length - 1):
+                raise InternalConsistencyError(
+                    f"v^-1 coefficients of p* and q* disagree at "
+                    f"({format_element(y)}, {format_element(w)})")
+    return CoeffTables(graph, length_bound, fc, p_columns, q_columns)
 
 
 # -- sublattice membership ---------------------------------------------------------------------

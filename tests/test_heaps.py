@@ -110,6 +110,18 @@ def test_fully_commutative_counts(name, count):
     assert sum(1 for _ in enumerate_elements(g, 200, fc_only=True)) == count
 
 
+@pytest.mark.parametrize("name,bound", [("B4", 16), ("~C3", 9)])
+def test_fc_tables_build_each_heap_once(monkeypatch, name, bound):
+    # the heap that decides whether s*w is fully commutative also builds s*w
+    words = []
+    original = CoxeterGraph._heap_normal_form
+    monkeypatch.setattr(CoxeterGraph, "_heap_normal_form",
+                        lambda self, word: words.append(word) or original(self, word))
+    monkeypatch.setattr(TLAlgebra, "_instances", {})
+    coeff_tables(fresh(name), bound)
+    assert words and len(words) == len(set(words))
+
+
 @pytest.mark.parametrize("name,bound,fc_count", [("B4", 16, 83), ("~C3", 9, 178)])
 def test_fc_tables_build_no_closure(monkeypatch, name, bound, fc_count):
     # the quotient never needs the word problem of the full group: no root

@@ -8,11 +8,14 @@ from test_heaps import HEAP_CASES, fresh
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, V_MINUS_VINV, parse_poly
 from tlcox.stars import star
+from tlcox import tl as tl_module
 from tlcox.tl import (
     CanonicalRecursionError,
     InternalConsistencyError,
     TLAlgebra,
     TLElement,
+    _first_unreconciled,
+    _inverted_column,
     check_property_W,
     chebyshev_coeffs,
     coeff_tables,
@@ -304,9 +307,9 @@ def test_coeff_tables_dihedral_values():
     g = preset("I2(5)")
     tables = coeff_tables(g, 5)
     for w in tables.elements:
-        assert tables.q_star.get((w, w)) == ONE
+        assert tables.q_columns[w].get(w) == ONE
         for y in tables.elements:
-            q = tables.q_star.get((y, w), ZERO)
+            q = V(y.length - w.length) * tables.q_columns[w].get(y, ZERO)
             expected = V(y.length - w.length) if g.bruhat_leq(y, w) else ZERO
             assert q == expected, (y, w)
 
@@ -322,18 +325,18 @@ def test_coeff_tables_rank3_value():
 def test_coeff_tables_internal_consistency(name, bound):
     tables = coeff_tables(preset(name), bound)  # raises on route disagreement
     g = preset(name)
-    for (y, w), p in tables.p_star.items():
+    pairs = [(y, w, p) for w in tables.elements for y, p in tables.p_columns[w].items()]
+    for y, w, p in pairs:
         if y == w:
             assert p == ONE
             continue
         assert g.bruhat_leq(y, w)
         assert p.in_vneg()
         # both tables share the same v^-1 coefficient by construction
-        q = tables.q_star[(y, w)]
         # degree bound for the q-polynomial forms (even v-exponents; top
         # degree gap-1 reachable only for odd gaps, exactly when M != 0)
         gap = w.length - y.length
-        qq = V(gap) * q
+        qq = tables.q_columns[w][y]  # q(y, w) = v^gap q*(y, w)
         pp = V(gap) * p
         assert qq.has_parity(0) and pp.has_parity(0)
         assert qq.coeff(0) == 1  # constant term of q(y, w) is 1 when y <= w
@@ -346,9 +349,10 @@ def test_coeff_tables_internal_consistency(name, bound):
 
 def test_m_nonzero_needs_odd_length_gap():
     tables = coeff_tables(preset("B3"), 7)
-    for (y, w), mval in tables.m.items():
-        assert mval != 0
-        assert (w.length - y.length) % 2 == 1
+    for w in tables.elements:
+        for y in tables.p_columns[w]:
+            if tables.m_coeff(y, w):
+                assert (w.length - y.length) % 2 == 1
 
 
 def test_descent_jump_rigidity():
@@ -363,6 +367,53 @@ def test_descent_jump_rigidity():
                     if s in g.left_descents(x) or not tables.m_coeff(x, w):
                         continue
                     assert x == sw and tables.m_coeff(x, w) == 1
+
+
+def _fresh_columns(name, bound):
+    g = fresh(name)
+    alg = TLAlgebra(g)
+    fc = list(enumerate_elements(g, bound, fc_only=True))
+    return fc, {w: alg.canonical(w) for w in fc}, {w: alg.q_column(w) for w in fc}
+
+
+@pytest.mark.parametrize("name,bound", [("B4", 200), ("H4", 200), ("~C3", 9), ("E6", 200)])
+def test_packed_check_and_dict_inversion_agree_with_the_recursion(name, bound):
+    fc, p_columns, q_columns = _fresh_columns(name, bound)
+    assert _first_unreconciled(fc, p_columns, q_columns) is None
+    for w in fc:
+        recur = {x: V(x.length - w.length) * q for x, q in q_columns[w].items()}
+        assert _inverted_column(w, p_columns) == recur, w
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_packed_check_certificate(j):
+    # 2^k v^j - v^(j+1) is not zero but vanishes at v = 2^k: a q column
+    # perturbed by it passes at that k and fails at the certified one, for
+    # every k a certificate that left out a factor could land on
+    fc, p_columns, q_columns = _fresh_columns("B4", 200)
+    w0 = fc[len(fc) // 2]
+    z = min(x for x in q_columns[w0] if x != w0)
+    perturbed = dict(q_columns)
+    perturbed[w0] = dict(q_columns[w0])
+    for k in range(1, 13):
+        perturbed[w0][z] = q_columns[w0][z] + LaurentPoly({j: 2 ** k, j + 1: -1})
+        assert _first_unreconciled(fc, p_columns, q_columns, bits=k) is None
+        assert _first_unreconciled(fc, p_columns, perturbed, bits=k) is None
+        assert _first_unreconciled(fc, p_columns, perturbed) is w0
+    # a perturbation with a negative exponent moves the exponent window
+    perturbed[w0][z] = q_columns[w0][z] + LaurentPoly({-2: 1})
+    assert _first_unreconciled(fc, p_columns, perturbed) is w0
+
+
+def test_passing_tables_invert_no_column(monkeypatch):
+    def no_inversion(w, p_columns):
+        raise AssertionError("a column of passing tables was inverted")
+
+    monkeypatch.setattr(tl_module, "_inverted_column", no_inversion)
+    monkeypatch.setattr(TLAlgebra, "_instances", {})
+    for name, bound in [("B4", 16), ("~C3", 9)]:
+        tables = coeff_tables(fresh(name), bound)
+        assert set(tables.p_columns) == set(tables.q_columns) == set(tables.elements)
 
 
 def test_coset_invariance_of_q():
