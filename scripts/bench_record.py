@@ -10,9 +10,11 @@ For every seed the two checkouts run the same workload with the same seed
 and run length, the side that runs first alternating from seed to seed.
 With `--traced SEED` each side also makes one traced run (`--trace 1`).
 The output file keeps one entry per workload (other workloads already in it
-are left alone): the raw result objects, and for every end-to-end metric
-the median and quartiles of each side and the number of pairs the change
-won (lower is better for all three; ties count for neither side).
+are left alone): the raw result objects, for every end-to-end metric the
+median and quartiles of each side and the number of pairs the change won
+(lower is better for all three; ties count for neither side), and each
+side's `src_lines`, the line count of `src/tlcox/*.py` (as `wc -l` counts
+it), so that code size is tracked beside time.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> d
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "tlcox").glob("*.py"))
 
 
 def summary(values: list[float]) -> dict:
@@ -68,6 +74,7 @@ def main(argv: list[str] | None = None) -> int:
             "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
             "pairs": len(args.seeds),
         }
+    entry["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
     entry["correct"] = all(r["correct"] and not r["failed"] for rs in runs.values() for r in rs)
     if args.traced is not None:
         entry["traced"] = {side: run(path, args.workload, args.traced, args.seconds, 1)

@@ -54,13 +54,12 @@ def _load_graph(args) -> CoxeterGraph:
 
 
 def _oracle(args, graph: CoxeterGraph):
-    """The graph's full-group algebra with this run's element cap.  Graphs and
-    their algebras are shared across invocations, so every run that uses the
-    oracle sets the limit, back to its default when its flag is absent."""
-    from .hecke import DEFAULT_ELEMENT_CAP, HeckeAlgebra
+    """The full-group algebra of this run's graph, with --oracle-cap if given."""
+    from .hecke import HeckeAlgebra
 
     alg = HeckeAlgebra.for_graph(graph)
-    alg.element_cap = args.oracle_cap or DEFAULT_ELEMENT_CAP
+    if args.oracle_cap:
+        alg.element_cap = args.oracle_cap
     return alg
 
 

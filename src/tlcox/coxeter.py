@@ -211,12 +211,14 @@ def _cartan_entry(ring: _CosineRing, s: int, t: int, m: int | float) -> tuple[in
 
 
 class CoxeterGraph:
-    """A Coxeter graph with memoized word-problem machinery."""
+    """A Coxeter graph with memoized word-problem machinery.  The graph object
+    owns everything computed over it: its interned elements and, in
+    `algebras`, one algebra per algebra class (see `TLAlgebra.for_graph`)."""
 
     __slots__ = (
         "bonds", "name", "rank", "_nbrs", "_braids", "_ring", "_cartan", "_unit_key",
         "_words", "_elements", "_identity", "_fc", "_bruhat", "_levels",
-        "_level_complete",
+        "_level_complete", "algebras",
     )
 
     def __init__(self, bonds: Sequence[Sequence[int | float]], name: str | None = None):
@@ -262,6 +264,7 @@ class CoxeterGraph:
         # indexed by fc_only: all elements, fully commutative ones
         self._levels: tuple[list[list[GroupElement]], ...] = ([], [])
         self._level_complete = [False, False]
+        self.algebras: dict[type, object] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -1056,25 +1059,14 @@ def _path(labels: Sequence[int | float]) -> list[list[int | float]]:
 _PRESET_RE = re.compile(r"^(?P<aff>~)?(?P<fam>[A-H])(?P<n>\d+)$")
 _I2_RE = re.compile(r"^I2\((?P<m>\d+|inf)\)$")
 
-_PRESET_CACHE: dict[str, CoxeterGraph] = {}
-
 
 def preset(name: str) -> CoxeterGraph:
     """Standard graphs: A/B/C/D/E/F/H families, I2(m), affine ~A and ~C.
 
-    Instances are shared per name, so memoized word-problem state accumulates
-    across callers.
+    Every call builds a new graph, so whatever is computed over it lives as
+    long as the caller keeps the graph.
     """
     name = name.strip()
-    cached = _PRESET_CACHE.get(name)
-    if cached is not None:
-        return cached
-    graph = _build_preset(name)
-    _PRESET_CACHE[name] = graph
-    return graph
-
-
-def _build_preset(name: str) -> CoxeterGraph:
     m2 = _I2_RE.match(name)
     if m2:
         m: int | float = INFINITE if m2.group("m") == "inf" else int(m2.group("m"))

@@ -2,10 +2,11 @@
 
 The scaled standard basis is indexed by all group elements (not only the
 fully commutative ones) and multiplication never leaves it, so everything
-here is plain unitriangular linear algebra: the bar involution by inverting
-generators, the bar-invariant basis and its products by the Kazhdan-Lusztig
-recursion and mu-rule (Invent. Math. 53, 1979) rather than the quotient's
-triangular solve, and the classical polynomials read off from its coefficients.
+here is plain unitriangular linear algebra on the engine the quotient uses
+too (`tl._Algebra`): the bar involution by inverting generators, the
+bar-invariant basis by the Kazhdan-Lusztig length recursion (Invent. Math.
+53, 1979), its products by the mu-rule, and the classical polynomials read
+off from its coefficients.  The quotient's bar-solve stays independent of it.
 The projection onto the quotient rewrites each standard basis element into
 the fully commutative basis through the quotient's multiplication kernel;
 its kernel is the defining ideal, which gives the ideal-membership test.
@@ -24,8 +25,8 @@ from .coxeter import (
     enumerate_elements,
     format_element,
 )
-from .laurent import DELTA, ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, format_terms
-from .tl import Coords, TLAlgebra, acc, left_action_product
+from .laurent import DELTA, ONE, V_MINUS_VINV, ZERO, LaurentPoly, format_terms
+from .tl import Coords, TLAlgebra, _Algebra, acc
 
 DEFAULT_ELEMENT_CAP = 50_000
 
@@ -34,27 +35,16 @@ class OracleCapExceeded(RuntimeError):
     """A support enumeration outgrew the configured oracle element cap."""
 
 
-class HeckeAlgebra:
-    """Memoized full-group arithmetic for one graph; obtain via for_graph."""
-
-    _instances: dict[CoxeterGraph, "HeckeAlgebra"] = {}
-
-    @classmethod
-    def for_graph(cls, graph: CoxeterGraph) -> "HeckeAlgebra":
-        alg = cls._instances.get(graph)
-        if alg is None:
-            alg = cls(graph)
-            cls._instances[graph] = alg
-        return alg
+class HeckeAlgebra(_Algebra):
+    """Memoized full-group arithmetic for one graph object; obtain via
+    for_graph.  Each entry of the bar and bar-invariant memos is checked
+    against the element cap before it is kept."""
 
     def __init__(self, graph: CoxeterGraph, element_cap: int = DEFAULT_ELEMENT_CAP):
-        self.graph = graph
+        super().__init__(graph)
         self.element_cap = element_cap
-        self._bar: dict[GroupElement, Coords] = {}
         self._kl: dict[GroupElement, Coords] = {}
         self._klgen: dict[tuple[int, GroupElement], Coords] = {}
-        self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
-        self._theta: dict[GroupElement, Coords] = {}
 
     def _check_cap(self, size: int) -> None:
         if size > self.element_cap:
@@ -62,10 +52,11 @@ class HeckeAlgebra:
                 f"oracle support of {size} elements exceeds the cap "
                 f"{self.element_cap}")
 
-    # -- multiplication ------------------------------------------------------
+    def _keep(self, memo: dict, w: GroupElement, value: Coords) -> None:
+        self._check_cap(len(memo) + 1)
+        memo[w] = value
 
-    def unit(self) -> Coords:
-        return {self.graph.identity: ONE}
+    # -- multiplication and the bar-invariant basis ---------------------------------
 
     def basis(self, w: GroupElement) -> Coords:
         return {w: ONE}
@@ -77,74 +68,19 @@ class HeckeAlgebra:
             return {sw: ONE, w: V_MINUS_VINV}
         return {sw: ONE}
 
-    def rgen(self, w: GroupElement, s: int) -> Coords:
-        g = self.graph
-        ws = g.rmul(w, s)
-        if s in g.right_descents(w):
-            return {ws: ONE, w: V_MINUS_VINV}
-        return {ws: ONE}
-
-    def lmul(self, s: int, coords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.lgen(s, w), c)
-        return out
-
-    def rmul(self, coords: Coords, s: int) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.rgen(w, s), c)
-        return out
-
-    def mul(self, a: Coords, b: Coords) -> Coords:
-        """a * b: each t_x of a acts on b letter by letter, last letter first."""
-        out: Coords = {}
-        for x, cx in a.items():
-            prod = b
-            for s in reversed(x.word):
-                prod = self.lmul(s, prod)
-            acc(out, prod, cx)
-        return out
-
-    # -- bar involution and the bar-invariant basis -------------------------------
-
     def bar_basis(self, w: GroupElement) -> Coords:
-        cached = self._bar.get(w)
-        if cached is None:
-            if not w.word:
-                cached = self.unit()
-            else:
-                rest = self.bar_basis(self.graph.lmul(w.word[0], w))
-                cached = self.lmul(w.word[0], rest)
-                acc(cached, rest, -V_MINUS_VINV)
-            self._check_cap(len(self._bar) + 1)  # each entry, before it is kept
-            self._bar[w] = cached
-        return cached
-
-    def bar(self, coords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.bar_basis(w), c.bar())
-        return out
+        """bar(T_w), memoized under the element cap.  Defined on this class,
+        not only on `_Algebra`, so that `perfbench/tracer.py` counts its
+        calls as the oracle's."""
+        return super().bar_basis(w)
 
     def kl_basis(self, w: GroupElement) -> Coords:
-        """The bar-invariant basis element over w, in standard coordinates:
-        C'_w = C'_s C'_w' - sum over z != w of kl_lgen(s, w')[z] C'_z, with s the
-        least left descent of w (the first letter of its word) and w' = s w."""
+        """The bar-invariant basis element C'_w in standard coordinates, by
+        the length recursion (`_peel`), memoized under the element cap."""
         cached = self._kl.get(w)
         if cached is None:
-            if not w.word:
-                cached = self.unit()
-            else:
-                s, wp = w.word[0], self.graph.lmul(w.word[0], w)
-                cp = self.kl_basis(wp)
-                cached = self.lmul(s, cp)
-                acc(cached, cp, V_INV)
-                for z, a in self.kl_lgen(s, wp).items():
-                    if z != w:
-                        acc(cached, self.kl_basis(z), -a)
-            self._check_cap(len(self._kl) + 1)  # each entry, before it is kept
-            self._kl[w] = cached
+            cached = self._peel(w, self.kl_basis)
+            self._keep(self._kl, w, cached)
         return cached
 
     def p_star(self, y: GroupElement, w: GroupElement) -> LaurentPoly:
@@ -174,11 +110,8 @@ class HeckeAlgebra:
     # -- projection to the quotient -----------------------------------------------------
 
     def theta_basis(self, w: GroupElement) -> Coords:
-        cached = self._theta.get(w)
-        if cached is None:
-            cached = TLAlgebra.for_graph(self.graph).expand(w)
-            self._theta[w] = cached
-        return cached
+        """The image of T_w in the quotient, memoized there (`expand`)."""
+        return TLAlgebra.for_graph(self.graph).expand(w)
 
     def theta(self, coords: Coords) -> Coords:
         """Image in the quotient, in fully commutative coordinates."""
@@ -213,14 +146,8 @@ class HeckeAlgebra:
 
     def kl_mul(self, x: GroupElement, y: GroupElement) -> Coords:
         """Product of two bar-invariant basis elements, in bar-invariant
-        coordinates, by the left action of the C'_s (the quotient's
-        recursion, see left_action_product); memoized on (x, y)."""
-        key = (x, y)
-        cached = self._cmul.get(key)
-        if cached is None:
-            cached = left_action_product(x, y, self.kl_lgen, self.kl_mul)
-            self._cmul[key] = cached
-        return cached
+        coordinates, by the left action of the C'_s (`_product`)."""
+        return self._product(x, y, self.kl_lgen, self.kl_mul)
 
 
 # -- element wrapper and dumps -----------------------------------------------------------------
@@ -245,7 +172,7 @@ class HeckeElement:
         return HeckeAlgebra.for_graph(self.graph)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        return HeckeElement(self.graph, self.algebra.mul(self.coords, other.coords))
+        return HeckeElement(self.graph, self.algebra.t_mul(self.coords, other.coords))
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         out = dict(self.coords)

@@ -27,10 +27,14 @@ packed integers): the check tests p* rather than restating it.
 
 Products of canonical basis elements stay in canonical coordinates: c_x c_y
 follows from a memoized table of c_s c_w by peeling the first letter of x
-(left_action_product, shared with the full-group algebra).
+(`_Algebra._product`, shared with the full-group algebra).
 
-All per-basis computations are memoized on a per-graph algebra object;
-everything is an immutable value from the caller's point of view.
+All per-basis computations are memoized on the algebra of one graph object,
+which the graph keeps (`for_graph`): there is no process-global state, and
+the memos go with the graph.  The full-group oracle (`hecke.HeckeAlgebra`)
+shares this module's engine, `_Algebra`: the generator action, the bar
+involution and the length recursion.  Everything is an immutable value from
+the caller's point of view.
 """
 
 from __future__ import annotations
@@ -124,33 +128,6 @@ def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> 
     return p
 
 
-def left_action_product(x: GroupElement, y: GroupElement,
-                        c_lgen: Callable[[int, GroupElement], Coords],
-                        mul: Callable[[GroupElement, GroupElement], Coords]) -> Coords:
-    """c_x c_y in canonical coordinates, by the left action of c_s.
-
-    With s the first letter of x and x' = s x, the product c_s c_x' in
-    canonical coordinates is c_x plus strictly shorter terms a_z c_z (both
-    bases are unitriangular), so
-
-        c_x c_y = sum_w (c_x' c_y)[w] c_s c_w - sum_z a_z c_z c_y.
-
-    c_lgen(s, w) is c_s c_w in canonical coordinates; mul is the memoized
-    product that this recursion is the body of.
-    """
-    if not x.word:
-        return {y: ONE}
-    s = x.word[0]
-    xp = x.graph.lmul(s, x)
-    out: Coords = {}
-    for w, c in mul(xp, y).items():
-        acc(out, c_lgen(s, w), c)
-    for z, a in c_lgen(s, xp).items():
-        if z != x:
-            acc(out, mul(z, y), -a)
-    return out
-
-
 def _add_shifted(raw: dict[GroupElement, dict[int, int]], x: GroupElement,
                  poly: LaurentPoly, shift: int, scale: int) -> None:
     """raw[x] += scale * v^shift * poly, on exponent -> coefficient dicts
@@ -172,30 +149,134 @@ def _dihedral_proper_words(s: int, t: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-class TLAlgebra:
-    """Memoized arithmetic for one graph; obtain via :meth:`for_graph`."""
-
-    _instances: dict[CoxeterGraph, "TLAlgebra"] = {}
-
-    @classmethod
-    def for_graph(cls, graph: CoxeterGraph) -> "TLAlgebra":
-        alg = cls._instances.get(graph)
-        if alg is None:
-            alg = cls(graph)
-            cls._instances[graph] = alg
-        return alg
+class _Algebra:
+    """What the quotient and the full-group algebra share: one algebra per
+    graph object, kept by the graph; the action of the generators on standard
+    coordinates, through the subclass's `lgen` (t_s t_w); the bar involution;
+    and the length recursion for the bar-invariant basis (`_peel`)."""
 
     def __init__(self, graph: CoxeterGraph):
         self.graph = graph
+        self._bar: dict[GroupElement, Coords] = {}
+        self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
+
+    @classmethod
+    def for_graph(cls, graph: CoxeterGraph):
+        """The algebra of this graph object: built on first use and kept in
+        `graph.algebras`, so its memos live exactly as long as the graph."""
+        alg = graph.algebras.get(cls)
+        if alg is None:
+            alg = graph.algebras[cls] = cls(graph)
+        return alg
+
+    def _keep(self, memo: dict, w: GroupElement, value: Coords) -> None:
+        """memo[w] = value; the full-group algebra checks its cap first."""
+        memo[w] = value
+
+    def unit(self) -> Coords:
+        return {self.graph.identity: ONE}
+
+    def lmul(self, s: int, coords: Coords) -> Coords:
+        out: Coords = {}
+        for w, c in coords.items():
+            acc(out, self.lgen(s, w), c)
+        return out
+
+    def t_mul(self, a: Coords, b: Coords) -> Coords:
+        """a * b in standard coordinates: each t_x of a acts on b letter by
+        letter, last letter first."""
+        out: Coords = {}
+        for x, cx in a.items():
+            prod = b
+            for s in reversed(x.word):
+                prod = self.lmul(s, prod)
+            acc(out, prod, cx)
+        return out
+
+    def bar_basis(self, w: GroupElement) -> Coords:
+        """bar(t_w): the product of (t_s - (v - v^-1)) along the word of w."""
+        cached = self._bar.get(w)
+        if cached is None:
+            if not w.word:
+                cached = self.unit()
+            else:
+                rest = self.bar_basis(self.graph.lmul(w.word[0], w))
+                cached = self.lmul(w.word[0], rest)
+                acc(cached, rest, -V_MINUS_VINV)
+            self._keep(self._bar, w, cached)
+        return cached
+
+    def bar(self, coords: Coords) -> Coords:
+        out: Coords = {}
+        for w, c in coords.items():
+            acc(out, self.bar_basis(w), c.bar())
+        return out
+
+    def _peel(self, w: GroupElement, basis: Callable[[GroupElement], Coords]) -> Coords:
+        """The bar-invariant basis element over w from shorter ones, by the
+        Kazhdan-Lusztig recursion (Invent. Math. 53, 1979): with s = w.word[0],
+        the least left descent of w, and w' = s w,
+
+            c_w = c_s c_w' - sum over y with s in L(y) of mu(y, w') c_y,
+
+        c_s = t_s + v^-1 and mu(y, w') the v^-1 coefficient of c_w' at y;
+        `basis` is the memoized accessor the recursion reads c_w' and c_y
+        through."""
+        if not w.word:
+            return self.unit()
+        g = self.graph
+        s = w.word[0]
+        cp = basis(g.lmul(s, w))
+        out = self.lmul(s, cp)
+        acc(out, cp, V_INV)
+        for y, c in cp.items():
+            if s in g.left_descents(y) and (mu := c.coeff(-1)):
+                acc(out, basis(y), LaurentPoly.const(-mu))
+        return out
+
+    def _product(self, x: GroupElement, y: GroupElement,
+                 lgen: Callable[[int, GroupElement], Coords],
+                 mul: Callable[[GroupElement, GroupElement], Coords]) -> Coords:
+        """c_x c_y in bar-invariant coordinates, by the left action of c_s;
+        memoized on (x, y).  With s the first letter of x and x' = s x, the
+        product c_s c_x' is c_x plus strictly shorter terms a_z c_z (both
+        bases are unitriangular), so
+
+            c_x c_y = sum_w (c_x' c_y)[w] c_s c_w - sum_z a_z c_z c_y.
+
+        lgen(s, w) is c_s c_w in these coordinates; mul is the public product
+        that this is the body of, which the recursion calls."""
+        key = (x, y)
+        cached = self._cmul.get(key)
+        if cached is None:
+            if not x.word:
+                cached = {y: ONE}
+            else:
+                s = x.word[0]
+                xp = self.graph.lmul(s, x)
+                cached = {}
+                for w, c in mul(xp, y).items():
+                    acc(cached, lgen(s, w), c)
+                for z, a in lgen(s, xp).items():
+                    if z != x:
+                        acc(cached, mul(z, y), -a)
+            self._cmul[key] = cached
+        return cached
+
+
+class TLAlgebra(_Algebra):
+    """Memoized arithmetic on the fully commutative basis of one graph
+    object; obtain via :meth:`for_graph`."""
+
+    def __init__(self, graph: CoxeterGraph):
+        super().__init__(graph)
         self._lgen: dict[tuple[int, GroupElement], Coords] = {}
         self._rgen: dict[tuple[GroupElement, int], Coords] = {}
-        self._bar: dict[GroupElement, Coords] = {}
         self._expand: dict[GroupElement, Coords] = {}
         self._cbasis: dict[GroupElement, Coords] = {}
         self._cbasis_rec: dict[GroupElement, Coords] = {}
         self._recursion_failed = False
         self._cgen: dict[tuple[int, GroupElement], Coords] = {}
-        self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
         self._qcol: dict[GroupElement, Coords] = {}
         self._alt: dict[tuple[int, int], Coords] = {}
 
@@ -240,15 +321,6 @@ class TLAlgebra:
         self._rgen[key] = out
         return out
 
-    def lmul(self, s: int, coords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.lgen(s, w), c)
-        return out
-
-    def unit(self) -> Coords:
-        return {self.graph.identity: ONE}
-
     def basis(self, w: GroupElement) -> Coords:
         if not w.is_fully_commutative():
             raise ValueError("basis elements are indexed by fully commutative elements")
@@ -267,38 +339,6 @@ class TLAlgebra:
             self._expand[w] = cached
         return cached
 
-    def t_mul(self, a: Coords, b: Coords) -> Coords:
-        """a * b in standard coordinates: each t_x of a acts on b letter by
-        letter, last letter first."""
-        out: Coords = {}
-        for x, cx in a.items():
-            prod = b
-            for s in reversed(x.word):
-                prod = self.lmul(s, prod)
-            acc(out, prod, cx)
-        return out
-
-    # -- bar involution -------------------------------------------------------------
-
-    def bar_basis(self, w: GroupElement) -> Coords:
-        """bar(t_w): the product of (t_s - (v - v^-1)) along the word of w."""
-        cached = self._bar.get(w)
-        if cached is None:
-            if not w.word:
-                cached = self.unit()
-            else:
-                rest = self.bar_basis(self.graph.lmul(w.word[0], w))
-                cached = self.lmul(w.word[0], rest)
-                acc(cached, rest, -V_MINUS_VINV)
-            self._bar[w] = cached
-        return cached
-
-    def bar(self, coords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.bar_basis(w), c.bar())
-        return out
-
     # -- canonical basis --------------------------------------------------------------
 
     def cbasis(self, w: GroupElement) -> Coords:
@@ -313,36 +353,21 @@ class TLAlgebra:
         return cached
 
     def cbasis_recursive(self, w: GroupElement) -> Coords:
-        """Same element by the length recursion: peel the least left descent s
-        and correct c_s c_{sw} by the v^-1 coefficients at descent-carrying
-        support."""
+        """Same element by the length recursion (`_peel`), certified: every
+        column must come out unitriangular with depressed coefficients."""
         cached = self._cbasis_rec.get(w)
         if cached is None:
             if not w.is_fully_commutative():
                 raise ValueError("canonical basis is indexed by fully commutative elements")
-            g = self.graph
-            if not w.word:
-                cached = self.unit()
-            else:
-                s = min(g.left_descents(w))
-                wp = g.lmul(s, w)
-                cp = self.cbasis_recursive(wp)
-                out = self.lmul(s, cp)
-                acc(out, cp, V_INV)
-                for y in sorted(cp):
-                    if s in g.left_descents(y):
-                        mcoef = cp[y].coeff(-1)
-                        if mcoef:
-                            acc(out, self.cbasis_recursive(y), LaurentPoly.const(-mcoef))
-                if out.get(w) != ONE:
+            cached = self._peel(w, self.cbasis_recursive)
+            if cached.get(w) != ONE:
+                raise CanonicalRecursionError(
+                    f"recursion lost unitriangularity at {format_element(w)}")
+            for y, c in cached.items():
+                if y != w and not c.in_vneg():
                     raise CanonicalRecursionError(
-                        f"recursion lost unitriangularity at {format_element(w)}")
-                for y, c in out.items():
-                    if y != w and not c.in_vneg():
-                        raise CanonicalRecursionError(
-                            f"coefficient at {format_element(y)} in c[{format_element(w)}] "
-                            f"is not depressed: {c.format()}")
-                cached = out
+                        f"coefficient at {format_element(y)} in c[{format_element(w)}] "
+                        f"is not depressed: {c.format()}")
             self._cbasis_rec[w] = cached
         return cached
 
@@ -409,13 +434,8 @@ class TLAlgebra:
     def c_mul(self, x: GroupElement, y: GroupElement) -> Coords:
         """The product of canonical basis elements in canonical coordinates,
         by the left action of the canonical generators (never leaves
-        canonical coordinates); memoized on (x, y)."""
-        key = (x, y)
-        cached = self._cmul.get(key)
-        if cached is None:
-            cached = left_action_product(x, y, self.c_lgen, self.c_mul)
-            self._cmul[key] = cached
-        return cached
+        canonical coordinates; `_product`)."""
+        return self._product(x, y, self.c_lgen, self.c_mul)
 
     # -- q* by the descent recursion ---------------------------------------------------------
 

@@ -516,10 +516,9 @@ def mu_report(graph: CoxeterGraph, bound: int, methods: tuple[str, ...],
     """Tabulate the symmetrized coefficients by the requested methods on all
     fully commutative pairs of length <= bound."""
     from .hecke import HeckeAlgebra
-    from .tl import TLAlgebra as _TL
 
     fc = list(enumerate_elements(graph, bound, fc_only=True))
-    tl = _TL.for_graph(graph)
+    tl = TLAlgebra.for_graph(graph)
     oracle = HeckeAlgebra.for_graph(graph) if "oracle" in methods else None
     ev = None
     if "trace" in methods:

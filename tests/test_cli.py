@@ -211,12 +211,9 @@ def test_removed_cap_flag_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_limits_do_not_leak_between_invocations(monkeypatch, capsys):
-    # presets and their algebras are shared in one process; a limit given
-    # to one run must not bind the next run, which omits the flag.
-    import tlcox.coxeter as coxeter_mod
-
-    monkeypatch.setattr(coxeter_mod, "_PRESET_CACHE", {})
+def test_limits_do_not_leak_between_invocations(capsys):
+    # a limit given to one run must not bind the next run, which omits the
+    # flag
     code, _, err = run_cli(capsys, "tables", "--preset", "A4", "--bound", "3",
                            "--kl", "--oracle-cap", "3")
     assert code == 2 and "cap" in err
@@ -224,16 +221,46 @@ def test_limits_do_not_leak_between_invocations(monkeypatch, capsys):
     assert code == 0 and out.startswith("y\tw\tP\tmu\n")
 
 
+def test_back_to_back_runs_keep_nothing(monkeypatch, capsys):
+    # each run owns its graph, and with it every element and algebra it
+    # built: none of them outlives the run
+    import gc
+
+    import tlcox.cli
+    from tlcox.coxeter import CoxeterGraph, GroupElement
+    from tlcox.hecke import HeckeAlgebra
+    from tlcox.tl import TLAlgebra
+
+    graph_ids = []
+    original = tlcox.cli.preset
+    monkeypatch.setattr(tlcox.cli, "preset",
+                        lambda name: graph_ids.append(id(g := original(name))) or g)
+
+    def left_over(graph_id):
+        gc.collect()
+        return [o for o in gc.get_objects()
+                if isinstance(o, CoxeterGraph) and id(o) == graph_id
+                or isinstance(o, (GroupElement, TLAlgebra, HeckeAlgebra))
+                and id(o.graph) == graph_id]
+
+    gc.collect()
+    before = sum(isinstance(o, GroupElement) for o in gc.get_objects())
+    code, out, _ = run_cli(capsys, "tables", "--preset", "F4", "--bound", "6", "--kl")
+    assert code == 0 and out.startswith("y\tw\tP\tmu\n")
+    assert left_over(graph_ids[0]) == []
+    code, out, _ = run_cli(capsys, "tables", "--preset", "B4")
+    assert code == 0 and out.startswith("y\tw\tp_star\tq_star\tM\n")
+    assert left_over(graph_ids[1]) == [] and len(graph_ids) == 2
+    assert sum(isinstance(o, GroupElement) for o in gc.get_objects()) == before
+
+
 @pytest.mark.parametrize("argv", [
     ("mu", "--preset", "A4", "--bound", "3", "--methods", "m,oracle"),
     ("basis", "--preset", "A4", "--bound", "3", "--kl"),
     ("structure", "--preset", "A4", "--bound", "3", "--kl-constants"),
 ])
-def test_oracle_cap_binds_every_oracle_command_once(argv, monkeypatch, capsys):
-    # an empty oracle memo, so the cap is reached
-    from tlcox.hecke import HeckeAlgebra
-
-    monkeypatch.setattr(HeckeAlgebra, "_instances", {})
+def test_oracle_cap_binds_every_oracle_command_once(argv, capsys):
+    # every run starts from an empty oracle memo, so the cap is reached
     code, _, err = run_cli(capsys, *argv, "--oracle-cap", "3")
     assert code == 2 and "cap" in err
     code, _, _ = run_cli(capsys, *argv)
@@ -280,7 +307,7 @@ def test_trace_commands_leave_no_evaluator_behind(tmp_path, capsys, monkeypatch)
     from tlcox.coxeter import enumerate_elements, preset as p
     from tlcox.trace import TraceEvaluator, builtin_trace
 
-    assert not hasattr(TraceEvaluator, "_instances")
+    assert not any(isinstance(v, dict) for v in vars(TraceEvaluator).values())
     assert not hasattr(TraceEvaluator, "for_source")
     built = []
     original = TraceEvaluator.__init__
@@ -323,7 +350,6 @@ def refuse_recursion_from_length_3(monkeypatch):
             raise CanonicalRecursionError("rigged refusal")
         return original(self, w)
 
-    monkeypatch.setattr(TLAlgebra, "_instances", {})
     monkeypatch.setattr(TLAlgebra, "cbasis_recursive", refuse_long)
     return refused
 
@@ -370,7 +396,6 @@ def test_products_traces_and_tables_never_bar_solve(argv, monkeypatch, capsys):
     def no_bar_solve(w, bar_expand):
         raise AssertionError("bar-solve called")
 
-    monkeypatch.setattr(tlcox.tl.TLAlgebra, "_instances", {})
     monkeypatch.setattr(tlcox.tl, "bar_solve", no_bar_solve)
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
@@ -383,7 +408,6 @@ def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, cap
 
     g = p("B4")
     fc = list(enumerate_elements(g, 16, fc_only=True))
-    monkeypatch.setattr(TLAlgebra, "_instances", {})
     inverted = coeff_tables(g, 16).q_star
     # two wrong entries in one column, the first and the last below w0
     w0 = fc[len(fc) // 2]
@@ -392,14 +416,13 @@ def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, cap
 
     def perturbed(self, w):
         col = original(self, w)
-        if w is w0:
+        if w == w0:
             col = dict(col)
             for x in (below[0], below[-1]):
                 col[x] = col[x] + ONE
         return col
 
     monkeypatch.setattr(TLAlgebra, "q_column", perturbed)
-    monkeypatch.setattr(TLAlgebra, "_instances", {})
     code, _, err = run_cli(capsys, "tables", "--preset", "B4")
     assert code == 3
     # the witness of the pair-by-pair scan: the first w, then the first y

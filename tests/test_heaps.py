@@ -22,7 +22,7 @@ from tlcox.coxeter import (
     preset,
 )
 from tlcox.stars import n_stat
-from tlcox.tl import TLAlgebra, coeff_tables
+from tlcox.tl import coeff_tables
 
 RANK4_INF_5_4 = "rank 4\nedge 1 2 inf\nedge 2 3 5\nedge 3 4 4\n"
 
@@ -117,7 +117,6 @@ def test_fc_tables_build_each_heap_once(monkeypatch, name, bound):
     original = CoxeterGraph._heap_normal_form
     monkeypatch.setattr(CoxeterGraph, "_heap_normal_form",
                         lambda self, word: words.append(word) or original(self, word))
-    monkeypatch.setattr(TLAlgebra, "_instances", {})
     coeff_tables(fresh(name), bound)
     assert words and len(words) == len(set(words))
 
@@ -131,7 +130,6 @@ def test_fc_tables_build_no_closure(monkeypatch, name, bound, fc_count):
         original = getattr(CoxeterGraph, attr)
         monkeypatch.setattr(CoxeterGraph, attr,
                             lambda self, *args, _f=original: calls.append(args) or _f(self, *args))
-    monkeypatch.setattr(TLAlgebra, "_instances", {})
     g = fresh(name)
     tables = coeff_tables(g, bound)
     assert len(tables.elements) == fc_count

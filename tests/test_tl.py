@@ -405,12 +405,36 @@ def test_packed_check_certificate(j):
     assert _first_unreconciled(fc, p_columns, perturbed) is w0
 
 
+def test_an_algebra_belongs_to_the_graph_object_it_was_built_for():
+    # an equal graph built apart gets its own algebras, whose memos hold its
+    # own elements; the first graph's algebras do not keep it alive
+    import gc
+
+    from tlcox.coxeter import CoxeterGraph
+    from tlcox.hecke import HeckeAlgebra
+
+    g1 = preset("A3")
+    coeff_tables(g1, 6)
+    g1_id = id(g1)
+    g2 = CoxeterGraph(preset("A3").bonds)
+    assert g2 == g1
+    for cls in (TLAlgebra, HeckeAlgebra):
+        alg = cls.for_graph(g2)
+        assert alg.graph is g2 and g2.algebras[cls] is alg is cls.for_graph(g2)
+        assert alg is not cls.for_graph(g1)
+    tables = coeff_tables(g2, 6)
+    entries = [y for col in tables.p_columns.values() for y in col]
+    assert len(entries) == 65 and all(y.graph is g2 for y in entries)
+    del g1
+    gc.collect()
+    assert not any(id(o) == g1_id for o in gc.get_objects() if isinstance(o, CoxeterGraph))
+
+
 def test_passing_tables_invert_no_column(monkeypatch):
     def no_inversion(w, p_columns):
         raise AssertionError("a column of passing tables was inverted")
 
     monkeypatch.setattr(tl_module, "_inverted_column", no_inversion)
-    monkeypatch.setattr(TLAlgebra, "_instances", {})
     for name, bound in [("B4", 16), ("~C3", 9)]:
         tables = coeff_tables(fresh(name), bound)
         assert set(tables.p_columns) == set(tables.q_columns) == set(tables.elements)
