@@ -14,13 +14,18 @@ are left alone): the raw result objects, for every end-to-end metric the
 median and quartiles of each side and the number of pairs the change won
 (lower is better for all three; ties count for neither side), and each
 side's `src_lines`, the line count of `src/tlcox/*.py` (as `wc -l` counts
-it), so that code size is tracked beside time.
+it), so that code size is tracked beside time.  Each side also records
+its bytecode-cache state: whether PYTHONDONTWRITEBYTECODE was set and whether
+`src/tlcox/__pycache__` held `.pyc` files before its first run and after its
+last.  Without a cache every invocation compiles the package source, which
+shows in wall time and peak RSS, so only runs made in the same state compare.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,6 +46,10 @@ def src_lines(checkout: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "tlcox").glob("*.py"))
 
 
+def has_pyc(checkout: Path) -> bool:
+    return any((checkout / "src" / "tlcox" / "__pycache__").glob("*.pyc"))
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
@@ -59,6 +68,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    bytecode = {side: {"PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+                       "pyc_before": has_pyc(path)} for side, path in sides.items()}
     for i, seed in enumerate(args.seeds):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             result = run(sides[side], args.workload, seed, args.seconds, 0)
@@ -66,7 +77,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.workload} seed {seed} {side}: "
                   f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})}",
                   file=sys.stderr)
-    entry: dict = {"seeds": args.seeds, "seconds": args.seconds, "runs": runs, "metrics": {}}
+    for side, path in sides.items():
+        bytecode[side]["pyc_after"] = has_pyc(path)
+    entry: dict = {"seeds": args.seeds, "seconds": args.seconds, "runs": runs, "metrics": {},
+                   "bytecode": bytecode}
     for name in END_TO_END:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
         entry["metrics"][name] = {

@@ -179,36 +179,44 @@ def cmd_verify(args) -> int:
     return 0 if report.holds else 1
 
 
+def _structure_rows(elements, product) -> list[str]:
+    """The `structure` table: one row x, y, z, constant, nonneg per z in
+    product(x, y), over all x and y in `elements`.  Each element's name and
+    each distinct constant's cell are rendered once: few distinct constants
+    occur."""
+    named = [(x, format_element(x)) for x in elements]
+    names = dict(named)
+    cells: dict = {}
+    rows = ["x\ty\tz\tcoeff\tnonneg"]
+    for x, nx in named:
+        for y, ny in named:
+            head = f"{nx}\t{ny}\t"
+            for z, c in sorted(product(x, y).items()):
+                nz = names.get(z)
+                if nz is None:
+                    nz = names[z] = format_element(z)
+                cell = cells.get(c)
+                if cell is None:
+                    d = c.to_delta_basis()
+                    ok = d is not None and d.is_nonneg()
+                    cell = cells[c] = (f"{d.format() if d is not None else c.format()}\t"
+                                       f"{str(ok).lower()}")
+                rows.append(f"{head}{nz}\t{cell}")
+    return rows
+
+
 def cmd_structure(args) -> int:
     graph = _load_graph(args)
     bound = _resolve_bound(args, graph, whole_group=args.kl_constants)
-    lines = ["x\ty\tz\tcoeff\tnonneg"]
     if args.kl_constants:
         hk = _oracle(args, graph)
-        els = list(enumerate_elements(graph, bound))
-        for x in els:
-            for y in els:
-                for z, c in sorted(hk.kl_mul(x, y).items()):
-                    if not z.is_fully_commutative():
-                        continue
-                    d = c.to_delta_basis()
-                    cell = d.format() if d is not None else c.format()
-                    ok = d is not None and d.is_nonneg()
-                    lines.append(f"{format_element(x)}\t{format_element(y)}\t"
-                                 f"{format_element(z)}\t{cell}\t{str(ok).lower()}")
+        rows = _structure_rows(list(enumerate_elements(graph, bound)), lambda x, y: {
+            z: c for z, c in hk.kl_mul(x, y).items() if z.is_fully_commutative()})
     else:
         from .tl import TLAlgebra
         alg = TLAlgebra.for_graph(graph)
-        fc = list(enumerate_elements(graph, bound, fc_only=True))
-        for x in fc:
-            for y in fc:
-                for z, c in sorted(alg.c_mul(x, y).items()):
-                    d = c.to_delta_basis()
-                    cell = d.format() if d is not None else c.format()
-                    ok = d is not None and d.is_nonneg()
-                    lines.append(f"{format_element(x)}\t{format_element(y)}\t"
-                                 f"{format_element(z)}\t{cell}\t{str(ok).lower()}")
-    _emit(args, "\n".join(lines) + "\n")
+        rows = _structure_rows(list(enumerate_elements(graph, bound, fc_only=True)), alg.c_mul)
+    _emit(args, "\n".join(rows) + "\n")
     return 0
 
 

@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 INFINITE = math.inf
 
@@ -886,8 +885,7 @@ def group_order(graph: CoxeterGraph, cap: int) -> tuple[int, int] | None:
     return order, longest
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(NamedTuple):
     """Factorization of w across a rank-2 parabolic: w = part_I * rest (left)
     or rest * part_I (right), with additive lengths; rest has no descent in I
     on the relevant side."""

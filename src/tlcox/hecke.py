@@ -17,7 +17,6 @@ refuses computations whose support enumeration grows past desk size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .coxeter import (
     CoxeterGraph,
@@ -153,15 +152,12 @@ class HeckeAlgebra(_Algebra):
 # -- element wrapper and dumps -----------------------------------------------------------------
 
 
-@dataclass
 class HeckeElement:
     """A full-algebra element in scaled standard coordinates."""
 
-    graph: CoxeterGraph
-    coords: Coords
-
-    def __post_init__(self):
-        self.coords = {w: c for w, c in self.coords.items() if c}
+    def __init__(self, graph: CoxeterGraph, coords: Coords):
+        self.graph = graph
+        self.coords = {w: c for w, c in coords.items() if c}
 
     @classmethod
     def t_basis(cls, w: GroupElement) -> "HeckeElement":
@@ -202,15 +198,16 @@ def format_q(p: LaurentPoly, shift: int = 0) -> str:
     return format_terms(sorted((((e + shift) // 2, c) for e, c in p.items()), reverse=True), "q")
 
 
-@dataclass
 class KLTables:
     """Classical polynomial and top-coefficient tables on all pairs up to a
     length bound, read off the oracle's columns p*(-, w)."""
 
-    graph: CoxeterGraph
-    bound: int
-    elements: list[GroupElement]
-    columns: dict[GroupElement, Coords]
+    def __init__(self, graph: CoxeterGraph, bound: int, elements: list[GroupElement],
+                 columns: dict[GroupElement, Coords]):
+        self.graph = graph
+        self.bound = bound
+        self.elements = elements
+        self.columns = columns
 
     def mu_coeff(self, x: GroupElement, w: GroupElement) -> int:
         return self.columns.get(w, {}).get(x, ZERO).coeff(-1)

@@ -15,8 +15,7 @@ repeatedly stripping the leading power of d.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class LaurentPoly:
@@ -257,8 +256,7 @@ class LaurentPoly:
         return format_terms(sorted(self._c.items(), reverse=True), var)
 
 
-@dataclass(frozen=True)
-class DeltaPoly:
+class DeltaPoly(NamedTuple):
     """A polynomial in d = v + v^-1; index k of `coeffs` holds the d^k coefficient."""
 
     coeffs: tuple[int, ...]

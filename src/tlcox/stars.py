@@ -12,7 +12,7 @@ depth-first searches over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coxeter import (
     CoxeterGraph,
@@ -79,16 +79,16 @@ def _star_reaches(w: GroupElement, predicate, memo: dict) -> bool:
     return ok
 
 
-@dataclass
 class PropertyReport:
     """Outcome of one property check at one bound; failures are witnesses in
     length-then-ShortLex order."""
 
-    property_name: str
-    graph: CoxeterGraph
-    bound: int
-    failures: list[GroupElement] = field(default_factory=list)
-    extra_lines: list[str] = field(default_factory=list)
+    def __init__(self, property_name: str, graph: CoxeterGraph, bound: int):
+        self.property_name = property_name
+        self.graph = graph
+        self.bound = bound
+        self.failures: list[GroupElement] = []
+        self.extra_lines: list[str] = []
 
     @property
     def holds(self) -> bool:
@@ -171,8 +171,7 @@ def n_stat(w: GroupElement) -> int:
     return len(up) - sum(augment(i, set()) for i in range(len(up)))
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A proper 2-coloring of the underlying graph (adjacent = noncommuting)."""
 
     eps: tuple[int, ...]

@@ -39,7 +39,6 @@ the caller's point of view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .coxeter import (
@@ -70,7 +69,8 @@ class CanonicalRecursionError(RuntimeError):
 
 
 def acc(dst: Coords, src: Coords, scale: LaurentPoly = ONE) -> None:
-    """dst += scale * src, dropping zeros."""
+    """dst += scale * src, dropping zeros.  For a scale other than ONE each
+    dst[w] + scale * src[w] is built in one exponent -> coefficient dict."""
     if scale is ONE:
         for w, c in src.items():
             val = dst.get(w)
@@ -80,11 +80,19 @@ def acc(dst: Coords, src: Coords, scale: LaurentPoly = ONE) -> None:
             elif val is not None:
                 del dst[w]
     else:
+        terms = scale._c.items()
         for w, c in src.items():
             val = dst.get(w)
-            total = scale * c if val is None else val + scale * c
-            if total:
-                dst[w] = total
+            out = {} if val is None else val._c.copy()
+            get = out.get
+            for es, cs in terms:
+                for e, x in c._c.items():
+                    e += es
+                    out[e] = get(e, 0) + cs * x
+            if 0 in out.values():
+                out = {e: x for e, x in out.items() if x}
+            if out:
+                dst[w] = LaurentPoly._raw(out)
             elif val is not None:
                 del dst[w]
 
@@ -547,24 +555,21 @@ def star_involution_coords(graph: CoxeterGraph, coords: Coords) -> Coords:
 # -- the element wrapper -------------------------------------------------------------------
 
 
-@dataclass
 class TLElement:
     """An algebra element: finitely supported coefficients on the fully
     commutative elements, in either the standard ('t') or canonical ('c')
     basis."""
 
-    graph: CoxeterGraph
-    basis: str
-    coords: Coords
-
-    def __post_init__(self):
-        if self.basis not in ("t", "c"):
+    def __init__(self, graph: CoxeterGraph, basis: str, coords: Coords):
+        if basis not in ("t", "c"):
             raise ValueError("basis tag must be 't' or 'c'")
-        for w in self.coords:
+        for w in coords:
             if not w.is_fully_commutative():
                 raise ValueError(
                     f"support must be fully commutative; got {format_element(w)}")
-        self.coords = {w: c for w, c in self.coords.items() if c}
+        self.graph = graph
+        self.basis = basis
+        self.coords = {w: c for w, c in coords.items() if c}
 
     @classmethod
     def t_basis(cls, w: GroupElement) -> "TLElement":
@@ -668,17 +673,18 @@ def parse_tl(graph: CoxeterGraph, text: str) -> TLElement:
 # -- coefficient tables ------------------------------------------------------------------------
 
 
-@dataclass
 class CoeffTables:
     """p* and q* up to the bound by columns w: p_columns[w] = canonical(w),
     y -> p*(y, w), and q_columns[w] = q_column(w), y -> q(y, w) =
     v^(len(w) - len(y)) q*(y, w); M(y, w) is the v^-1 coefficient of p*."""
 
-    graph: CoxeterGraph
-    bound: int
-    elements: list[GroupElement]
-    p_columns: dict[GroupElement, Coords]
-    q_columns: dict[GroupElement, Coords]
+    def __init__(self, graph: CoxeterGraph, bound: int, elements: list[GroupElement],
+                 p_columns: dict[GroupElement, Coords], q_columns: dict[GroupElement, Coords]):
+        self.graph = graph
+        self.bound = bound
+        self.elements = elements
+        self.p_columns = p_columns
+        self.q_columns = q_columns
 
     def m_coeff(self, x: GroupElement, w: GroupElement) -> int:
         return self.p_columns.get(w, {}).get(x, ZERO).coeff(-1)

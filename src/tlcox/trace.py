@@ -14,7 +14,6 @@ homogeneous and positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .coxeter import (
     CoxeterGraph,
@@ -226,13 +225,14 @@ class BuiltinTrace:
         return cached
 
 
-@dataclass
 class TraceTable:
     """User-supplied trace values on canonical basis elements."""
 
-    graph: CoxeterGraph
-    values: dict[GroupElement, LaurentPoly]
-    label: str = "table"
+    def __init__(self, graph: CoxeterGraph, values: dict[GroupElement, LaurentPoly],
+                 label: str = "table"):
+        self.graph = graph
+        self.values = values
+        self.label = label
 
     def describe(self) -> str:
         return self.label
@@ -366,18 +366,18 @@ def bilinear_form(x: TLElement, y: TLElement, source) -> LaurentPoly:
 # -- verification ------------------------------------------------------------------
 
 
-@dataclass
 class TraceReport:
     """Outcome of the bilinear-form verification.  The verdict is decided by
     the two defining checks (adjointness and almost-orthonormality);
     homogeneity, positivity and the sharpened bound are reported alongside."""
 
-    graph: CoxeterGraph
-    bound: int
-    source_label: str
-    lines: list[str] = field(default_factory=list)
-    witness: tuple[GroupElement, ...] | None = None
-    holds: bool = True
+    def __init__(self, graph: CoxeterGraph, bound: int, source_label: str):
+        self.graph = graph
+        self.bound = bound
+        self.source_label = source_label
+        self.lines: list[str] = []
+        self.witness: tuple[GroupElement, ...] | None = None
+        self.holds = True
 
     def render(self) -> str:
         out = [f"# property=B graph={self.graph.describe()} bound={self.bound} "
@@ -484,15 +484,16 @@ def mu_from_trace(x: GroupElement, y: GroupElement, source) -> int:
     return ev.form_cc(x, y).coeff(-1)
 
 
-@dataclass
 class MuReport:
     """Cross-method table of the top-degree coefficients on fully commutative
     pairs."""
 
-    graph: CoxeterGraph
-    bound: int
-    methods: tuple[str, ...]
-    rows: list[tuple[GroupElement, GroupElement, dict[str, int]]]
+    def __init__(self, graph: CoxeterGraph, bound: int, methods: tuple[str, ...],
+                 rows: list[tuple[GroupElement, GroupElement, dict[str, int]]]):
+        self.graph = graph
+        self.bound = bound
+        self.methods = methods
+        self.rows = rows
 
     def all_agree(self) -> bool:
         return all(len(set(vals.values())) <= 1 for _, _, vals in self.rows)

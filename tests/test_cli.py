@@ -164,6 +164,46 @@ def test_structure_kl_constants(capsys):
     assert all(ln.endswith("true") for ln in out.splitlines()[1:])
 
 
+def structure_row_by_row(name, kl_constants=False):
+    """`structure --preset NAME` over the whole finite group, every row
+    rendered on its own (names and the d-expansion of the constant): the
+    reference for the CLI's renderer, which renders each distinct value
+    once."""
+    import math
+
+    from tlcox.coxeter import enumerate_elements, format_element, group_order, preset as p
+    from tlcox.hecke import HeckeAlgebra
+    from tlcox.tl import TLAlgebra
+
+    g = p(name)
+    bound = group_order(g, math.inf)[1]
+    if kl_constants:
+        els, product = list(enumerate_elements(g, bound)), HeckeAlgebra(g).kl_mul
+    else:
+        els, product = list(enumerate_elements(g, bound, fc_only=True)), TLAlgebra(g).c_mul
+    lines = ["x\ty\tz\tcoeff\tnonneg"]
+    for x in els:
+        for y in els:
+            for z, c in sorted(product(x, y).items()):
+                if not z.is_fully_commutative():
+                    continue
+                d = c.to_delta_basis()
+                cell = d.format() if d is not None else c.format()
+                ok = d is not None and d.is_nonneg()
+                lines.append(f"{format_element(x)}\t{format_element(y)}\t"
+                             f"{format_element(z)}\t{cell}\t{str(ok).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,kl", [("B3", False), ("H3", False), ("A4", False),
+                                     ("A3", True)])
+def test_structure_matches_the_row_by_row_renderer(name, kl, capsys):
+    flags = ("--kl-constants",) if kl else ()
+    code, out, err = run_cli(capsys, "structure", "--preset", name, *flags)
+    assert code == 0 and err == ""
+    assert out == structure_row_by_row(name, kl)
+
+
 def test_tables_and_kl_tables(capsys):
     code, out, _ = run_cli(capsys, "tables", "--preset", "A2", "--bound", "3")
     assert code == 0
@@ -452,6 +492,23 @@ def test_cli_import_loads_no_algebra_module():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    # every invocation pays for what the package imports: `dataclasses`
+    # alone brings in `inspect`, `ast`, `dis` and `tokenize`
+    import tlcox
+
+    src = str(Path(tlcox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, tlcox.cli, tlcox.tl, tlcox.trace, tlcox.hecke\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_trace_evaluation_helper():

@@ -27,9 +27,9 @@ from tlcox.tl import coeff_tables
 RANK4_INF_5_4 = "rank 4\nedge 1 2 inf\nedge 2 3 5\nedge 3 4 4\n"
 
 
-def fresh(name):
-    bonds = parse_graph(RANK4_INF_5_4).bonds if name == "rank4" else preset(name).bonds
-    return CoxeterGraph(bonds)
+def build(name):
+    """A new graph, so every test starts from empty memos."""
+    return parse_graph(RANK4_INF_5_4) if name == "rank4" else preset(name)
 
 
 def old_n_stat(ref, word):
@@ -58,7 +58,7 @@ HEAP_CASES = [
 
 @pytest.mark.parametrize("name,fc_bound,all_bound", HEAP_CASES)
 def test_heap_route_matches_closure(name, fc_bound, all_bound):
-    g = fresh(name)
+    g = build(name)
     ref = ClosureRoute(g.bonds)
     fc = list(enumerate_elements(g, fc_bound, fc_only=True))
     assert [w.word for w in fc] == ref.levels(fc_bound, fc_only=True)
@@ -84,7 +84,7 @@ def test_heap_route_matches_closure(name, fc_bound, all_bound):
     ("A5", 15), ("B4", 16), ("D5", 20), ("F4", 24), ("H3", 15), ("~C3", 8),
 ])
 def test_n_stat_is_heap_width(name, bound):
-    g = fresh(name)
+    g = build(name)
     ref = ClosureRoute(g.bonds)
     for w in enumerate_elements(g, bound, fc_only=True):
         assert n_stat(w) == old_n_stat(ref, w.word), w
@@ -106,7 +106,7 @@ FC_COUNTS = (
 def test_fully_commutative_counts(name, count):
     # the counts of Stembridge (J. Algebraic Combin. 5, 1996; 7, 1998); the
     # bound is past the longest element, so the levels run out by themselves
-    g = fresh(name)
+    g = build(name)
     assert sum(1 for _ in enumerate_elements(g, 200, fc_only=True)) == count
 
 
@@ -117,7 +117,7 @@ def test_fc_tables_build_each_heap_once(monkeypatch, name, bound):
     original = CoxeterGraph._heap_normal_form
     monkeypatch.setattr(CoxeterGraph, "_heap_normal_form",
                         lambda self, word: words.append(word) or original(self, word))
-    coeff_tables(fresh(name), bound)
+    coeff_tables(build(name), bound)
     assert words and len(words) == len(set(words))
 
 
@@ -130,7 +130,7 @@ def test_fc_tables_build_no_closure(monkeypatch, name, bound, fc_count):
         original = getattr(CoxeterGraph, attr)
         monkeypatch.setattr(CoxeterGraph, attr,
                             lambda self, *args, _f=original: calls.append(args) or _f(self, *args))
-    g = fresh(name)
+    g = build(name)
     tables = coeff_tables(g, bound)
     assert len(tables.elements) == fc_count
     assert calls == [] and len(g._words) == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from test_roots import fresh
+from test_roots import build
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.hecke import (
     HeckeAlgebra,
@@ -110,7 +110,7 @@ def test_kl_recursion_matches_bar_solve(name, bound):
     # the Kazhdan-Lusztig recursion against the quotient's triangular solve
     # on the full group's bar expansions; longest first, so that the
     # recursion starts cold, on a fresh graph and algebra
-    g = fresh(name)
+    g = build(name)
     alg = HeckeAlgebra(g)
     for w in reversed(list(enumerate_elements(g, bound))):
         assert alg.kl_basis(w) == bar_solve(w, alg.bar_basis), (name, w)

@@ -15,7 +15,6 @@ import pytest
 
 from braid_closure import ClosureRoute
 from tlcox.coxeter import (
-    CoxeterGraph,
     _CosineRing,
     _cosine_minimal_polynomial,
     enumerate_elements,
@@ -31,9 +30,9 @@ GRAPHS = {
 }
 
 
-def fresh(name):
-    bonds = parse_graph(GRAPHS[name]).bonds if name in GRAPHS else preset(name).bonds
-    return CoxeterGraph(bonds)
+def build(name):
+    """A new graph, so every test starts from empty memos."""
+    return parse_graph(GRAPHS[name]) if name in GRAPHS else preset(name)
 
 
 ROOT_CASES = [
@@ -45,7 +44,7 @@ ROOT_CASES = [
 
 @pytest.mark.parametrize("name,bound", ROOT_CASES)
 def test_root_route_matches_closure(name, bound):
-    g = fresh(name)
+    g = build(name)
     ref = ClosureRoute(g.bonds)
     els = list(enumerate_elements(g, bound))
     assert [w.word for w in els] == ref.levels(bound)
@@ -62,10 +61,10 @@ def test_root_route_matches_closure(name, bound):
         for s in g.generators():
             assert g.lmul(s, w).word == ref.lmul(s, w.word), (w, s)
             assert g.rmul(w, s).word == ref.rmul(w.word, s), (w, s)
-    # random words on a fresh instance, then down to the identity by left
+    # random words on a new graph, then down to the identity by left
     # descents, so that elements are met before their left factors; right
     # descents and inverses first, so that the inverse starts from nothing
-    h = fresh(name)
+    h = build(name)
     rng = random.Random(name)
     shorter = 0
     for _ in range(100):
@@ -85,8 +84,8 @@ def test_records_belong_to_their_graph():
     # an element's record is filled by its own graph only: another graph with
     # the same bonds that multiplies or inverts it first answers with its own
     # elements and leaves nothing of them on the record
-    words = [w.word for w in enumerate_elements(fresh("D4"), 12)]
-    g, h = fresh("D4"), fresh("D4")
+    words = [w.word for w in enumerate_elements(build("D4"), 12)]
+    g, h = build("D4"), build("D4")
     for word in words:
         w = h.element(word)
         via_g = ([g.lmul(s, w) for s in g.generators()]
@@ -101,7 +100,7 @@ def test_records_belong_to_their_graph():
     ("A5", 720, 15), ("B4", 384, 16), ("D5", 1920, 20), ("F4", 1152, 24), ("H3", 120, 15),
 ])
 def test_whole_group_orders(name, order, longest):
-    g = fresh(name)
+    g = build(name)
     els = list(enumerate_elements(g, 200))  # the levels run out by themselves
     assert len(els) == order and els[-1].length == longest
     assert group_order(g, math.inf) == (order, longest)

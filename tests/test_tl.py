@@ -4,7 +4,7 @@ import random
 import pytest
 
 from q_pairs import PairRoute
-from test_heaps import HEAP_CASES, fresh
+from test_heaps import HEAP_CASES, build
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, V_MINUS_VINV, parse_poly
 from tlcox.stars import star
@@ -75,6 +75,50 @@ def test_rewrite_supports_are_fully_commutative():
             for s in g.generators():
                 for y in alg.lgen(s, w):
                     assert y.is_fully_commutative()
+
+
+def two_step_acc(dst, src, scale):
+    """The accumulation that `acc` fuses: dst[w] + scale * src[w] through the
+    two intermediate polynomials scale * src[w] and the sum."""
+    for w, c in src.items():
+        val = dst.get(w)
+        total = scale * c if val is None else val + scale * c
+        if total:
+            dst[w] = total
+        elif val is not None:
+            del dst[w]
+
+
+def test_fused_acc_matches_the_two_step_sum():
+    g = preset("B3")
+    els = list(enumerate_elements(g, 9, fc_only=True))
+    rng = random.Random(13)
+
+    def poly(terms):
+        return LaurentPoly({rng.randint(-4, 4): rng.choice([-3, -2, -1, 1, 2, 3])
+                            for _ in range(terms)})
+
+    scales = [ONE, LaurentPoly.const(1), -ONE, V_INV, -V_MINUS_VINV, LaurentPoly.const(-3),
+              LaurentPoly({2: 1, -1: -2, 0: 5})]
+    cancelled = partly = 0
+    for trial in range(400):
+        scale = scales[trial % len(scales)] if trial < 200 else poly(rng.randint(1, 3))
+        src = {w: p for w in rng.sample(els, 8) if (p := poly(rng.randint(0, 3)))}
+        dst = {w: p for w in rng.sample(els, 8) if (p := poly(rng.randint(0, 3)))}
+        for w in rng.sample(sorted(src), min(3, len(src))):
+            # totals that cancel, wholly (the key must go) or in some terms
+            dst[w] = -(scale * src[w]) + (V(1) if rng.random() < 0.3 else ZERO)
+        inputs = [(p, dict(p._c)) for p in (scale, *src.values(), *dst.values())]
+        expected = dict(dst)
+        two_step_acc(expected, src, scale)
+        tl_module.acc(dst, src, scale)
+        assert dst == expected, (trial, scale)
+        assert all(dst.values())
+        # the polynomials read are values shared with memos: none is changed
+        assert all(p._c == c for p, c in inputs)
+        cancelled += sum(w not in dst for w in src)
+        partly += sum(dst.get(w) == V(1) for w in src)
+    assert cancelled > 500 and partly > 200
 
 
 @pytest.mark.parametrize("name", ["A3", "B2", "I2(5)"])
@@ -370,7 +414,7 @@ def test_descent_jump_rigidity():
 
 
 def _fresh_columns(name, bound):
-    g = fresh(name)
+    g = build(name)
     alg = TLAlgebra(g)
     fc = list(enumerate_elements(g, bound, fc_only=True))
     return fc, {w: alg.canonical(w) for w in fc}, {w: alg.q_column(w) for w in fc}
@@ -436,7 +480,7 @@ def test_passing_tables_invert_no_column(monkeypatch):
 
     monkeypatch.setattr(tl_module, "_inverted_column", no_inversion)
     for name, bound in [("B4", 16), ("~C3", 9)]:
-        tables = coeff_tables(fresh(name), bound)
+        tables = coeff_tables(build(name), bound)
         assert set(tables.p_columns) == set(tables.q_columns) == set(tables.elements)
 
 
@@ -461,7 +505,7 @@ def test_coset_invariance_of_q():
 @pytest.mark.parametrize("name,bound", [(name, fc) for name, fc, _ in HEAP_CASES])
 def test_q_column_matches_pair_recursion(name, bound):
     # every graph of the heap tests, among them B4 <= 16, ~C3 <= 9 and D5
-    g = fresh(name)
+    g = build(name)
     alg = TLAlgebra(g)
     ref = PairRoute(g)
     fc = list(enumerate_elements(g, bound, fc_only=True))
