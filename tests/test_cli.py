@@ -511,6 +511,31 @@ def test_package_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_runs_leave_every_module_level_container_as_it_was(capsys):
+    # there is no process-global state: every memo lives on the algebra of one
+    # graph object, so no list, dict or set at module level grows with use
+    import importlib
+    import pkgutil
+
+    import tlcox
+
+    modules = [tlcox] + [importlib.import_module(f"tlcox.{m.name}")
+                         for m in pkgutil.iter_modules(tlcox.__path__)]
+
+    def sizes():
+        return {(mod.__name__, name): len(value) for mod in modules
+                for name, value in vars(mod).items()
+                if isinstance(value, (list, dict, set)) and name != "__builtins__"}
+
+    before = sizes()
+    importlib.import_module("tlcox.laurent").delta_power(64)
+    for argv in (["structure", "--preset", "A3"], ["mu", "--preset", "A3", "--methods", "all"],
+                 ["verify", "B", "--preset", "A3"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert sizes() == before
+
+
 def test_trace_evaluation_helper():
     from tlcox.laurent import LaurentPoly, delta_power
     from tlcox.tl import TLElement

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -32,15 +33,39 @@ def test_ring_identities():
     assert (V - 1) * (V + 1) == LaurentPoly({2: 1, 0: -1})
 
 
+def double_sum(terms):
+    """sum over (a, b) of a*b on exponent -> coefficient dicts: a_i b_j goes to v^(i + j)."""
+    out = {}
+    for a, b in terms:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 def test_lincomb_matches_term_by_term_sum():
     rng = random.Random(17)
     for _ in range(200):
         pairs = [(rand_poly(rng), rand_poly(rng)) for _ in range(rng.randint(0, 5))]
         got = lincomb(iter(pairs))
         assert got == sum((a * b for a, b in pairs), ZERO)
+        assert dict(got.items()) == double_sum(pairs)
         assert all(c for _, c in got.items())  # no stored zeros
     # terms that cancel leave the zero polynomial
     assert lincomb([(V, ONE), (ONE, -V)]) == ZERO and not lincomb([(V, ONE), (ONE, -V)])
+    multi = 0
+    for _ in range(300):
+        a, b = rand_poly(rng), rand_poly(rng)
+        multi += len(a._c) > 1 and len(b._c) > 1
+        assert dict((a * b).items()) == double_sum([(a, b)])
+        assert dict((a * 3).items()) == double_sum([(a, {0: 3})])
+    assert multi > 100
+    # d^k = sum_j binom(k, j) v^(k - 2j)
+    for _ in range(100):
+        coeffs = tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 7)))
+        powers = [{k - 2 * j: math.comb(k, j) for j in range(k + 1)} for k in range(len(coeffs))]
+        expected = double_sum([({0: c}, powers[k]) for k, c in enumerate(coeffs)])
+        assert dict(DeltaPoly(coeffs).expand().items()) == expected
 
 
 def test_bar_examples():

@@ -253,15 +253,30 @@ def test_cbasis_example_in_rank3():
 
 
 def test_c_conversion_round_trip():
-    g = preset("B3")
-    alg = TLAlgebra.for_graph(g)
     rng = random.Random(31)
-    els = list(enumerate_elements(g, 5, fc_only=True))
-    for _ in range(20):
-        coords = {rng.choice(els): LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)})
-                  for _ in range(4)}
-        coords = {w: c for w, c in coords.items() if c}
-        assert alg.from_c(alg.to_c(coords)) == coords
+    for name, bound in [("B3", 5), ("H3", 6), ("~A2", 6)]:
+        g = preset(name)
+        alg = TLAlgebra.for_graph(g)
+        els = list(enumerate_elements(g, bound, fc_only=True))
+        for _ in range(20):
+            coords = {rng.choice(els): LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
+                                                    for _ in range(rng.randint(1, 4))})
+                      for _ in range(4)}
+            coords = {w: c for w, c in coords.items() if c}
+            assert alg.from_c(alg.to_c(coords)) == coords
+            # from_c spreads each c_w over its whole column, which to_c must
+            # cancel entry by entry
+            assert alg.to_c(alg.from_c(coords)) == coords
+
+
+def test_to_c_refuses_a_column_without_unit_diagonal(monkeypatch):
+    # elimination relies on the unit diagonal of c_w to clear the entry at w;
+    # without it to_c must raise rather than loop or drop the entry
+    g = preset("A2")
+    alg = TLAlgebra(g)
+    monkeypatch.setattr(alg, "canonical", lambda w: {w: V(1)})
+    with pytest.raises(InternalConsistencyError, match="not unitriangular"):
+        alg.to_c({g.element((0,)): ONE})
 
 
 def test_c_mul_examples():
@@ -565,6 +580,15 @@ def test_property_w_holds(name, bound):
     report = check_property_W(preset(name), bound)
     assert report.holds
     assert "descent-sublattice check: PASS" in report.render()
+
+
+def test_property_w_names_an_expansion_that_is_not_depressed(monkeypatch):
+    g = preset("A3")
+    alg = TLAlgebra.for_graph(g)
+    monkeypatch.setattr(alg, "expand", lambda x: {g.identity: ONE})
+    report = check_property_W(g, 6)
+    assert not report.holds
+    assert report.failures and all(x.length >= 3 for x in report.failures)
 
 
 def test_property_w_on_affine_graph_up_to_bound():
