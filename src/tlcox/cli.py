@@ -105,37 +105,32 @@ def cmd_basis(args) -> int:
     bound = _resolve_bound(args, graph, whole_group=args.kl)
     alg = TLAlgebra.for_graph(graph)
     fc = list(enumerate_elements(graph, bound, fc_only=True))
-    lines: list[str] = []
-    if args.format == "tsv":
-        lines.append("w\ty\tp_star\tagree")
-    else:
-        lines.append(f"# basis graph={graph.describe()} bound={bound} elements={len(fc)}")
+    tsv = args.format == "tsv"
+    lines = ["w\ty\tp_star\tagree" if tsv else
+             f"# basis graph={graph.describe()} bound={bound} elements={len(fc)}"]
+
+    def block(name: str, head: str, coords, t: str, flag: str) -> None:
+        """One basis element: a tsv row per term, or a head line, a line per
+        term and a blank line."""
+        ys = sorted(coords)
+        if tsv:
+            lines.extend(f"{name}\t{format_element(y)}\t{coords[y].format()}\t{flag}"
+                         for y in ys)
+        else:
+            lines.append(head)
+            lines.extend(f"{coords[y].format()} * {t}[{format_element(y)}]" for y in ys)
+            lines.append("")
+
     for w in fc:
         cw = alg.cbasis(w)
-        agree = cw == alg.cbasis_recursive(w)
-        flag = "yes" if agree else "no"
-        if args.format == "tsv":
-            for y in sorted(cw):
-                lines.append(f"{format_element(w)}\t{format_element(y)}\t"
-                             f"{cw[y].format()}\t{flag}")
-        else:
-            lines.append(f"c[{format_element(w)}] agree={flag}")
-            for y in sorted(cw):
-                lines.append(f"{cw[y].format()} * t[{format_element(y)}]")
-            lines.append("")
+        flag = "yes" if cw == alg.cbasis_recursive(w) else "no"
+        name = format_element(w)
+        block(name, f"c[{name}] agree={flag}", cw, "t", flag)
     if args.kl:
         hk = _oracle(args, graph)
         for w in enumerate_elements(graph, bound):
-            klw = hk.kl_basis(w)
-            if args.format == "tsv":
-                for y in sorted(klw):
-                    lines.append(f"C'[{format_element(w)}]\t{format_element(y)}\t"
-                                 f"{klw[y].format()}\tyes")
-            else:
-                lines.append(f"C'[{format_element(w)}]")
-                for y in sorted(klw):
-                    lines.append(f"{klw[y].format()} * T[{format_element(y)}]")
-                lines.append("")
+            name = f"C'[{format_element(w)}]"
+            block(name, name, hk.kl_basis(w), "T", "yes")
     _emit(args, "\n".join(lines).rstrip("\n") + "\n")
     return 0
 

@@ -216,7 +216,7 @@ class CoxeterGraph:
 
     __slots__ = (
         "bonds", "name", "rank", "_nbrs", "_braids", "_ring", "_cartan", "_unit_key",
-        "_words", "_elements", "_identity", "_fc", "_bruhat", "_levels",
+        "_words", "_elements", "_identity", "_fc", "_levels",
         "_level_complete", "algebras",
     )
 
@@ -259,7 +259,6 @@ class CoxeterGraph:
         self._elements: dict[tuple[int, ...], GroupElement] = {}
         self._identity: GroupElement | None = None
         self._fc: dict[tuple[int, ...], GroupElement | None] = {}
-        self._bruhat: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         # indexed by fc_only: all elements, fully commutative ones
         self._levels: tuple[list[list[GroupElement]], ...] = ([], [])
         self._level_complete = [False, False]
@@ -580,33 +579,31 @@ class CoxeterGraph:
             w.rdesc = self.left_descents(self.inverse(w))
         return w.rdesc
 
-    def bruhat_leq(self, x: "GroupElement", w: "GroupElement") -> bool:
-        """Bruhat order, decided by the descent-lifting recursion.
+    def on_side(self, side: str):
+        """(descents, mul) on one side: the descent reader and r, x -> r x for
+        side "left", right_descents and r, x -> x r for side "right"."""
+        if side == "left":
+            return self.left_descents, self.lmul
+        if side == "right":
+            return self.right_descents, lambda r, x: self.rmul(x, r)
+        raise ValueError("side must be 'left' or 'right'")
 
-        For a left descent s of w: x <= w iff sx <= sw when sx < x, and
-        x <= sw otherwise.  Equivalent to the subword characterization.
-        """
+    def bruhat_leq(self, x: "GroupElement", w: "GroupElement") -> bool:
+        """Bruhat order, decided by the lifting property one letter of w at a
+        time: for a left descent s of w, x <= w iff sx <= sw when sx < x, and
+        x <= sw otherwise.  Each step takes one branch, so this is at most
+        len(w) lookups of neighbour records; equivalent to the subword
+        characterization."""
         if x.graph is not self and x.graph != self:
             raise ValueError("elements from different graphs")
-        key = (x.word, w.word)
-        got = self._bruhat.get(key)
-        if got is not None:
-            return got
-        if len(x.word) > len(w.word):
-            got = False
-        elif x.word == w.word:
-            got = True
-        elif not x.word:
-            got = True
-        else:
+        while len(x.word) <= len(w.word):
+            if x.word == w.word or not x.word:
+                return True
             s = w.word[0]
-            sw = self.lmul(s, w)
             if s in self.left_descents(x):
-                got = self.bruhat_leq(self.lmul(s, x), sw)
-            else:
-                got = self.bruhat_leq(x, sw)
-        self._bruhat[key] = got
-        return got
+                x = self.lmul(s, x)
+            w = self.lmul(s, w)
+        return False
 
     # -- full commutativity --------------------------------------------------------
 
@@ -703,11 +700,7 @@ class GroupElement:
         return self.graph.right_descents(self)
 
     def descents(self, side: str) -> frozenset[int]:
-        if side == "left":
-            return self.left_descents()
-        if side == "right":
-            return self.right_descents()
-        raise ValueError("side must be 'left' or 'right'")
+        return self.graph.on_side(side)[0](self)
 
     def is_fully_commutative(self) -> bool:
         return self.graph.is_fully_commutative(self)
@@ -922,28 +915,14 @@ def coset_decompose(w: GroupElement, pair: tuple[int, int], side: str) -> CosetD
         raise ValueError("pair must be noncommuting (bond label >= 3)")
     pair = (min(s, t), max(s, t))
     members = frozenset(pair)
+    descents, mul = g.on_side(side)
     letters: list[int] = []
     rest = w
-    if side == "left":
-        while True:
-            d = g.left_descents(rest) & members
-            if not d:
-                break
-            r = min(d)
-            letters.append(r)
-            rest = g.lmul(r, rest)
-        part = g.element(tuple(letters))
-    elif side == "right":
-        while True:
-            d = g.right_descents(rest) & members
-            if not d:
-                break
-            r = min(d)
-            letters.append(r)
-            rest = g.rmul(rest, r)
-        part = g.element(tuple(reversed(letters)))
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    while d := descents(rest) & members:
+        r = min(d)
+        letters.append(r)
+        rest = mul(r, rest)
+    part = g.element(letters if side == "left" else letters[::-1])
     return CosetDecomposition(part, rest, side, pair)
 
 

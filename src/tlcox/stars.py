@@ -37,12 +37,7 @@ def star(w: GroupElement, pair: tuple[int, int], side: str, direction: str) -> G
     s, t = pair
     if s == t or g.m(s, t) < 3:
         raise ValueError("pair must be noncommuting (bond label >= 3)")
-    if side == "left":
-        descents, mul = g.left_descents, g.lmul
-    elif side == "right":
-        descents, mul = g.right_descents, lambda r, x: g.rmul(x, r)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    descents, mul = g.on_side(side)
     d = descents(w)
     if (s in d) == (t in d):
         return None

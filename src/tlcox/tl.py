@@ -29,12 +29,17 @@ Products of canonical basis elements stay in canonical coordinates: c_x c_y
 follows from a memoized table of c_s c_w by peeling the first letter of x
 (`_Algebra._product`, shared with the full-group algebra).
 
-All per-basis computations are memoized on the algebra of one graph object,
-which the graph keeps (`for_graph`): there is no process-global state, and
-the memos go with the graph.  The full-group oracle (`hecke.HeckeAlgebra`)
-shares this module's engine, `_Algebra`: the generator action, the bar
-involution and the length recursion.  Everything is an immutable value from
-the caller's point of view.
+The algebras act on the left only: t_s t_w (`lgen`) is the one generator
+action, and a right product t_w t_s is read off it through the word-reversal
+anti-automorphism (`star_involution_coords`).  A table is memoized on the
+algebra of one graph object, which the graph keeps (`for_graph`), when a
+recursion reads its entries again (the generator action, the canonical
+basis, q* columns, products); what is cheap to recompute, such as the
+alternating products of `dihedral_cbasis`, is not kept.  There is no
+process-global state, and the memos go with the graph.  The full-group
+oracle (`hecke.HeckeAlgebra`) shares this module's engine, `_Algebra`: the
+generator action, the bar involution and the length recursion.  Everything
+is an immutable value from the caller's point of view.
 """
 
 from __future__ import annotations
@@ -236,14 +241,12 @@ class TLAlgebra(_Algebra):
     def __init__(self, graph: CoxeterGraph):
         super().__init__(graph)
         self._lgen: dict[tuple[int, GroupElement], Coords] = {}
-        self._rgen: dict[tuple[GroupElement, int], Coords] = {}
         self._expand: dict[GroupElement, Coords] = {}
         self._cbasis: dict[GroupElement, Coords] = {}
         self._cbasis_rec: dict[GroupElement, Coords] = {}
         self._recursion_failed = False
         self._cgen: dict[tuple[int, GroupElement], Coords] = {}
         self._qcol: dict[GroupElement, Coords] = {}
-        self._alt: dict[tuple[int, int], Coords] = {}
 
     # -- the multiplication kernel ------------------------------------------------
 
@@ -271,19 +274,6 @@ class TLAlgebra(_Algebra):
                     term = self.lmul(letter, term)
                 acc(out, term, -LaurentPoly.v(len(u_word) - m))
         self._lgen[key] = out
-        return out
-
-    def rgen(self, w: GroupElement, s: int) -> Coords:
-        """t_w * t_s, by transporting lgen through the word-reversal
-        anti-automorphism."""
-        key = (w, s)
-        cached = self._rgen.get(key)
-        if cached is not None:
-            return cached
-        g = self.graph
-        res = self.lgen(s, g.inverse(w))
-        out = {g.inverse(y): c for y, c in res.items()}
-        self._rgen[key] = out
         return out
 
     def basis(self, w: GroupElement) -> Coords:
@@ -446,22 +436,6 @@ class TLAlgebra(_Algebra):
     def q_star_recursive(self, x: GroupElement, w: GroupElement) -> LaurentPoly:
         return LaurentPoly.v(x.length - w.length) * self.q_poly(x, w)
 
-    # -- dihedral canonical basis from the Chebyshev recurrence ------------------------------
-
-    def alternating_c_product(self, start: int, n: int) -> Coords:
-        """Product of n alternating canonical generators c_start c_other c_start..."""
-        key = (start, n)
-        cached = self._alt.get(key)
-        if cached is None:
-            if n == 0:
-                cached = self.unit()
-            else:
-                prev = self.alternating_c_product(1 - start, n - 1)
-                cached = self.lmul(start, prev)
-                acc(cached, prev, V_INV)
-            self._alt[key] = cached
-        return cached
-
 
 def chebyshev_coeffs(n: int) -> list[int]:
     """Coefficients of the degree-n second-kind Chebyshev polynomial
@@ -485,11 +459,17 @@ def dihedral_cbasis(graph: CoxeterGraph, i: int, start: int = 0) -> Coords:
     if i < 0 or (m != INFINITE and i > m - 2):
         raise ValueError(f"index {i} out of range for bond {m}")
     alg = TLAlgebra.for_graph(graph)
-    poly = [0] + chebyshev_coeffs(i)  # x * P_i
+    # chains[a]: the product of n alternating canonical generators, c_a first;
+    # c_a X = t_a X + v^-1 X
+    chains = [alg.unit(), alg.unit()]
     out: Coords = {}
-    for n, coeff in enumerate(poly):
+    for n, coeff in enumerate([0] + chebyshev_coeffs(i)):  # x * P_i
+        if n:
+            prev, chains = chains, [alg.lmul(a, chains[1 - a]) for a in (0, 1)]
+            for a in (0, 1):
+                acc(chains[a], prev[1 - a], V_INV)
         if coeff:
-            acc(out, alg.alternating_c_product(start, n), LaurentPoly.const(coeff))
+            acc(out, chains[start], LaurentPoly.const(coeff))
     return out
 
 

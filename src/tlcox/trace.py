@@ -22,9 +22,9 @@ from .coxeter import (
     format_element,
     parse_element,
 )
-from .laurent import ONE, ZERO, LaurentPoly, delta_power, lincomb, parse_poly
+from .laurent import ONE, LaurentPoly, delta_power, lincomb, parse_poly
 from .stars import bipartite_coloring
-from .tl import Coords, TLAlgebra, TLElement
+from .tl import Coords, TLAlgebra, TLElement, star_involution_coords
 
 
 class TraceTableError(ValueError):
@@ -196,7 +196,6 @@ class BuiltinTrace:
                 "simply laced path graph")
         self.graph = graph
         self.strands = graph.rank + 1
-        self._diagrams: dict[GroupElement, PlanarDiagram] = {}
         self._tau_c: dict[GroupElement, LaurentPoly] = {}
 
     def describe(self) -> str:
@@ -205,16 +204,13 @@ class BuiltinTrace:
     def diagram(self, w: GroupElement) -> PlanarDiagram:
         """The diagram of a fully commutative element (well defined: all its
         reduced words are linked by commutations)."""
-        cached = self._diagrams.get(w)
-        if cached is None:
-            if not w.is_fully_commutative():
-                raise ValueError("diagrams are attached to fully commutative elements")
-            cached = PlanarDiagram.identity(self.strands)
-            for s in w.word:
-                cached = cached * PlanarDiagram.generator(s + 1, self.strands)
-            assert cached.loops == 0  # reduced words never close a loop
-            self._diagrams[w] = cached
-        return cached
+        if not w.is_fully_commutative():
+            raise ValueError("diagrams are attached to fully commutative elements")
+        out = PlanarDiagram.identity(self.strands)
+        for s in w.word:
+            out = out * PlanarDiagram.generator(s + 1, self.strands)
+        assert out.loops == 0  # reduced words never close a loop
+        return out
 
     def tau_c(self, w: GroupElement) -> LaurentPoly:
         cached = self._tau_c.get(w)
@@ -324,22 +320,27 @@ class TraceEvaluator:
 
     def form_tt(self, x: GroupElement, y: GroupElement) -> LaurentPoly:
         """The form on standard basis elements, G(x, y) = trace of t_x t_{y^-1},
-        by associativity alone: with s the last letter of y,
-        t_{y^-1} = t_s t_{(ys)^-1}, so
+        read as H(x, y^-1) (`_form_h`)."""
+        return self._form_h(x, self.graph.inverse(y))
 
-            G(x, y) = sum_u (t_x t_s)[u] G(u, ys),   G(x, e) = trace(t_x).
+    def _form_h(self, x: GroupElement, z: GroupElement) -> LaurentPoly:
+        """H(x, z) = trace of t_x t_z by associativity and the left action
+        alone: with r the last letter of x, t_x = t_{xr} t_r, so
 
-        Memoized on (x, y) for the life of this evaluator."""
-        key = (x, y)
+            H(x, z) = sum_u (t_r t_z)[u] H(xr, u),   H(e, z) = trace(t_z).
+
+        The recursion runs over the prefixes of x.  Memoized on (x, z) for the
+        life of this evaluator."""
+        key = (x, z)
         cached = self._form.get(key)
         if cached is None:
-            if not y.word:
-                cached = self.tau_t(x)
+            if not x.word:
+                cached = self.tau_t(z)
             else:
-                s = y.word[-1]
-                yp = self.graph.rmul(y, s)
-                cached = lincomb((c, self.form_tt(u, yp))
-                                 for u, c in self.algebra.rgen(x, s).items())
+                r = x.word[-1]
+                xr = self.graph.rmul(x, r)
+                cached = lincomb((c, self._form_h(xr, u))
+                                 for u, c in self.algebra.lgen(r, z).items())
             self._form[key] = cached
         return cached
 
@@ -423,9 +424,9 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
     # trace(t_u t_s) for every s and every such u.  Each such u is t_x t_{y^-1}
     # for its two halves, so otherwise some pair fails: scan for the first
     tau = ev.tau_of_t_coords
-    trace_identity = all(tau(alg.lgen(s, u)) == tau(alg.rgen(u, s))
-                         for u in covered if u.length <= 2 * bound
-                         for s in graph.generators())
+    trace_identity = all(
+        tau(alg.lgen(s, u)) == tau(star_involution_coords(graph, alg.lgen(s, graph.inverse(u))))
+        for u in covered if u.length <= 2 * bound for s in graph.generators())
 
     def lhs(s: int, x: GroupElement, y: GroupElement) -> LaurentPoly:
         return lincomb((c, form(u, y)) for u, c in alg.lgen(s, x).items())
@@ -443,12 +444,13 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
     for x in fc:
         for y in fc:
             val = form(x, y)
-            delta = ONE if x == y else ZERO
-            if not (val - delta).in_vneg():
-                if ortho_witness is None:
-                    ortho_witness = (x, y)
-            if x != y and not (LaurentPoly.v(1) * val).in_vneg():
-                sharp_ok = False
+            if x == y:
+                ok = (val - ONE).in_vneg()
+            else:
+                ok = val.in_vneg()
+                sharp_ok = sharp_ok and all(e < -1 for e, _ in val.items())
+            if not ok and ortho_witness is None:
+                ortho_witness = (x, y)
     report.lines.append(f"almost-orthonormality: {'FAIL' if ortho_witness else 'PASS'}")
 
     homog_ok = all(ev.tau_c(w).has_parity(w.length) for w in fc)

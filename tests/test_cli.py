@@ -411,6 +411,10 @@ PRODUCT_DIGESTS = {
         "a61d47daf46585a0ed42d615424d5ac166dd1bae08cb8716401f94f88c371f09",
     ("mu", "--preset", "A4", "--methods", "all"):
         "80c368d06a708539663daebd70aebeb612ec72635c466961387a7f6cbf5dcb65",
+    ("verify", "B", "--preset", "A4"):
+        "16460b07c4e071bf0a1b010dcf831eff04313f9cf8cc8a55f304855ada48bc3a",
+    ("structure", "--preset", "H3"):
+        "957bbd2dc1a6653e3ca0ffda3b21b41440d6e25ae87f4326954dbfef718e7928",
 }
 
 
@@ -534,6 +538,52 @@ def test_runs_leave_every_module_level_container_as_it_was(capsys):
         assert main(argv) == 0, argv
     capsys.readouterr()
     assert sizes() == before
+
+
+def memo_names(obj) -> set[str]:
+    """The dict-valued attributes of an object, slots included: its memos."""
+    attrs = vars(obj) if hasattr(obj, "__dict__") else {
+        name: getattr(obj, name) for name in type(obj).__slots__}
+    return {name for name, value in attrs.items() if isinstance(value, dict)}
+
+
+def test_memo_inventory(monkeypatch, capsys):
+    # every memo a run can keep, by owner: the graph, its algebras and the
+    # trace objects.  None keeps what nothing reads twice: the Bruhat pairs,
+    # the right generator action, the alternating products and the diagrams
+    # are recomputed
+    import tlcox.cli
+    from tlcox.coxeter import preset as p
+    from tlcox.tl import dihedral_cbasis
+    from tlcox.trace import BuiltinTrace, TraceEvaluator
+
+    g = p("A3")
+    monkeypatch.setattr(tlcox.cli, "preset", lambda name: g)
+    built = []
+    for cls in (TraceEvaluator, BuiltinTrace):
+        def spy(self, *args, _original=cls.__init__):
+            _original(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    for argv in (["verify", "B", "--preset", "A3"], ["mu", "--preset", "A3", "--methods", "all"],
+                 ["structure", "--preset", "A3", "--kl-constants"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert g.bruhat_leq(g.element([1]), g.element([0, 1, 2, 1]))
+    d = p("I2(5)")
+    dihedral_cbasis(d, 2)
+    inventory: dict[str, set[str]] = {}
+    for obj in (g, d, *g.algebras.values(), *d.algebras.values(), *built):
+        inventory.setdefault(type(obj).__name__, set()).update(memo_names(obj))
+    assert inventory == {
+        "CoxeterGraph": {"_words", "_elements", "_fc", "algebras"},
+        "TLAlgebra": {"_bar", "_cmul", "_lgen", "_expand", "_cbasis", "_cbasis_rec",
+                      "_cgen", "_qcol"},
+        "HeckeAlgebra": {"_bar", "_cmul", "_kl", "_klgen"},
+        "TraceEvaluator": {"_tau_t", "_form"},
+        "BuiltinTrace": {"_tau_c"},
+    }
 
 
 def test_trace_evaluation_helper():

@@ -37,6 +37,21 @@ def test_star_dihedral_examples():
     assert star(t, pair, "right", "down") is None
 
 
+def test_side_is_checked_after_the_pair():
+    a3 = preset("A3")
+    w = a3.element([1, 0])
+    side = "side must be 'left' or 'right'"
+    with pytest.raises(ValueError, match=side):
+        w.descents("up")
+    for call in (lambda pair, s: star(w, pair, s, "down"),
+                 lambda pair, s: coset_decompose(w, pair, s)):
+        with pytest.raises(ValueError, match=side):
+            call((0, 1), "up")
+        with pytest.raises(ValueError, match="pair must be noncommuting"):
+            call((0, 2), "up")
+    assert w.descents("left") == {1} and w.descents("right") == {0}
+
+
 def coset_star(w, pair, side, direction):
     """The star operation read off the coset decomposition: the rank-2 part
     of w loses its outer letter (down) or gains the other one (up), and the
