@@ -5,8 +5,8 @@ fully commutative ones) and multiplication never leaves it, so everything
 here is plain unitriangular linear algebra on the engine the quotient uses
 too (`tl._Algebra`): the bar involution by inverting generators, the
 bar-invariant basis by the Kazhdan-Lusztig length recursion (Invent. Math.
-53, 1979), its products by the mu-rule, and the classical polynomials read
-off from its coefficients.  The quotient's bar-solve stays independent of it.
+53, 1979), its products by the shared mu-rule, and the classical polynomials
+read off from its coefficients.  The quotient's bar-solve stays independent of it.
 The projection onto the quotient rewrites each standard basis element into
 the fully commutative basis through the quotient's multiplication kernel;
 its kernel is the defining ideal, which gives the ideal-membership test.
@@ -24,7 +24,7 @@ from .coxeter import (
     enumerate_elements,
     format_element,
 )
-from .laurent import DELTA, ONE, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb
+from .laurent import ONE, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb
 from .tl import Coords, TLAlgebra, _Algebra
 
 DEFAULT_ELEMENT_CAP = 50_000
@@ -43,7 +43,6 @@ class HeckeAlgebra(_Algebra):
         super().__init__(graph)
         self.element_cap = element_cap
         self._kl: dict[GroupElement, Coords] = {}
-        self._klgen: dict[tuple[int, GroupElement], Coords] = {}
 
     def _check_cap(self, size: int) -> None:
         if size > self.element_cap:
@@ -82,13 +81,7 @@ class HeckeAlgebra(_Algebra):
             self._keep(self._kl, w, cached)
         return cached
 
-    def p_star(self, y: GroupElement, w: GroupElement) -> LaurentPoly:
-        return self.kl_basis(w).get(y, ZERO)
-
-    def mu(self, x: GroupElement, w: GroupElement) -> int:
-        """Top-degree coefficient of the classical polynomial (the v^-1
-        coefficient of the standard-basis coordinate)."""
-        return self.p_star(x, w).coeff(-1)
+    canonical = kl_basis  # the columns the shared engine reads (`c_lgen`, `mu`)
 
     def mu_tilde(self, x: GroupElement, y: GroupElement) -> int:
         return self.mu(x, y) if x.length <= y.length else self.mu(y, x)
@@ -120,28 +113,10 @@ class HeckeAlgebra(_Algebra):
 
     # -- products in bar-invariant coordinates ---------------------------------------------
 
-    def kl_lgen(self, s: int, w: GroupElement) -> Coords:
-        """C'_s C'_w in bar-invariant coordinates, memoized on (s, w), by the
-        mu-rule: (v + v^-1) C'_w if s is a left descent of w, else C'_sw plus
-        mu(z, w) C'_z for every z < w with s in L(z)."""
-        key = (s, w)
-        cached = self._klgen.get(key)
-        if cached is None:
-            g = self.graph
-            if s in g.left_descents(w):
-                cached = {w: DELTA}
-            else:
-                cached = {g.lmul(s, w): ONE}
-                for z, c in self.kl_basis(w).items():
-                    if s in g.left_descents(z) and c.coeff(-1):
-                        cached[z] = LaurentPoly.const(c.coeff(-1))
-            self._klgen[key] = cached
-        return cached
-
     def kl_mul(self, x: GroupElement, y: GroupElement) -> Coords:
         """Product of two bar-invariant basis elements, in bar-invariant
         coordinates, by the left action of the C'_s (`_product`)."""
-        return self._product(x, y, self.kl_lgen, self.kl_mul)
+        return self._product(x, y, self.kl_mul)
 
 
 # -- element wrapper and dumps -----------------------------------------------------------------

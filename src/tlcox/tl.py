@@ -26,8 +26,8 @@ canonical basis, and the tables check each column against p* (P Q = I, in
 packed integers): the check tests p* rather than restating it.
 
 Products of canonical basis elements stay in canonical coordinates: c_x c_y
-follows from a memoized table of c_s c_w by peeling the first letter of x
-(`_Algebra._product`, shared with the full-group algebra).
+follows from a table of c_s c_w, one checked mu-rule read off the column of w,
+by peeling the first letter of x (`_Algebra`, shared with the full-group algebra).
 
 The algebras act on the left only: t_s t_w (`lgen`) is the one generator
 action, and a right product t_w t_s is read off it through the word-reversal
@@ -38,8 +38,8 @@ basis, q* columns, products); what is cheap to recompute, such as the
 alternating products of `dihedral_cbasis`, is not kept.  There is no
 process-global state, and the memos go with the graph.  The full-group
 oracle (`hecke.HeckeAlgebra`) shares this module's engine, `_Algebra`: the
-generator action, the bar involution and the length recursion.  Everything
-is an immutable value from the caller's point of view.
+generator action, the bar involution, the length recursion and products.
+Everything is an immutable value from the caller's point of view.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from .coxeter import (
     format_element,
     parse_element,
 )
-from .laurent import (ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb,
-                      parse_poly)
+from .laurent import (DELTA, ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms,
+                      lincomb, parse_poly)
 from .stars import PropertyReport
 
 Coords = dict[GroupElement, LaurentPoly]
@@ -123,12 +123,15 @@ class _Algebra:
     """What the quotient and the full-group algebra share: one algebra per
     graph object, kept by the graph; the action of the generators on standard
     coordinates, through the subclass's `lgen` (t_s t_w); the bar involution;
-    and the length recursion for the bar-invariant basis (`_peel`)."""
+    the length recursion (`_peel`); the change to and from bar-invariant
+    coordinates (`to_c`, `from_c`); and products by one mu-rule (`c_lgen`)."""
 
     def __init__(self, graph: CoxeterGraph):
         self.graph = graph
         self._bar: dict[GroupElement, Coords] = {}
+        self._cgen: dict[tuple[int, GroupElement], Coords] = {}
         self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
+        self._basis_lmul = graph.lmul  # s w, or None where it leaves the basis
 
     @classmethod
     def for_graph(cls, graph: CoxeterGraph):
@@ -204,18 +207,72 @@ class _Algebra:
                 acc(out, basis(y), LaurentPoly.const(-mu))
         return out
 
+    def to_c(self, tcoords: Coords) -> Coords:
+        """Standard-basis coefficients -> canonical-basis coefficients
+        (greedy unitriangular elimination from the top)."""
+        rem = dict(tcoords)
+        out: Coords = {}
+        while rem:
+            w = max(rem)
+            a = out[w] = rem[w]
+            acc(rem, self.canonical(w), -a)
+            if w in rem:  # the unit diagonal of c_w clears rem[w]
+                raise InternalConsistencyError(f"c[{format_element(w)}] is not unitriangular")
+        return out
+
+    def from_c(self, ccoords: Coords) -> Coords:
+        out: Coords = {}
+        for w, c in ccoords.items():
+            acc(out, self.canonical(w), c)
+        return out
+
+    def mu(self, y: GroupElement, w: GroupElement) -> int:
+        """mu(y, w): the v^-1 coefficient of c_w at y."""
+        return self.canonical(w).get(y, ZERO).coeff(-1)
+
+    def c_lgen(self, s: int, w: GroupElement) -> Coords:
+        """c_s c_w in bar-invariant coordinates, memoized on (s, w), by the mu-rule
+        (Kazhdan-Lusztig 1979; Green-Losonczy 1999 for the quotient): (v + v^-1) c_w
+        if s is in L(w), else c_sw if s w is a basis element plus mu(z, w) c_z for
+        each z with s in L(z).  c_s c_w less the rule is bar-invariant, so it is zero
+        if its coordinates lie in v^-1 Z[v^-1]; with c_s = t_s + v^-1 and c_w = sum
+        p_y t_y, all do but `off`: p_y t_s t_y for y with s y outside the basis and,
+        if s is in L(w), 1 at s w less mu(y, w) at each y with s not in L(y).  Where
+        `off` is not in v^-1 Z[v^-1], c_s c_w is eliminated from standard coordinates."""
+        key = (s, w)
+        cached = self._cgen.get(key)
+        if cached is None:
+            g = self.graph
+            cw = self.canonical(w)
+            down = s in g.left_descents(w)
+            sw = g.lmul(s, w) if down else self._basis_lmul(s, w)
+            cached = {w: DELTA} if down else {} if sw is None else {sw: ONE}
+            off = {sw: ONE} if down else {}
+            for y, c in cw.items():
+                mu = c.coeff(-1)
+                if s not in g.left_descents(y):
+                    if down and mu:
+                        off[y] = off.get(y, ZERO) - mu
+                    if self._basis_lmul(s, y) is None:
+                        acc(off, self.lgen(s, y), c)
+                elif mu and not down:
+                    cached[y] = LaurentPoly.const(mu)
+            if not all(c.in_vneg() for c in off.values()):
+                cached = self.to_c(self.lmul(s, cw))
+                acc(cached, {w: V_INV})
+            self._cgen[key] = cached
+        return cached
+
     def _product(self, x: GroupElement, y: GroupElement,
-                 lgen: Callable[[int, GroupElement], Coords],
                  mul: Callable[[GroupElement, GroupElement], Coords]) -> Coords:
-        """c_x c_y in bar-invariant coordinates, by the left action of c_s;
-        memoized on (x, y).  With s the first letter of x and x' = s x, the
-        product c_s c_x' is c_x plus strictly shorter terms a_z c_z (both
-        bases are unitriangular), so
+        """c_x c_y in bar-invariant coordinates, by the left action of c_s
+        (`c_lgen`); memoized on (x, y).  With s the first letter of x and
+        x' = s x, the product c_s c_x' is c_x plus strictly shorter terms
+        a_z c_z (both bases are unitriangular), so
 
             c_x c_y = sum_w (c_x' c_y)[w] c_s c_w - sum_z a_z c_z c_y.
 
-        lgen(s, w) is c_s c_w in these coordinates; mul is the public product
-        that this is the body of, which the recursion calls."""
+        mul is the public product, which the recursion calls."""
         key = (x, y)
         cached = self._cmul.get(key)
         if cached is None:
@@ -226,8 +283,8 @@ class _Algebra:
                 xp = self.graph.lmul(s, x)
                 cached = {}
                 for w, c in mul(xp, y).items():
-                    acc(cached, lgen(s, w), c)
-                for z, a in lgen(s, xp).items():
+                    acc(cached, self.c_lgen(s, w), c)
+                for z, a in self.c_lgen(s, xp).items():
                     if z != x:
                         acc(cached, mul(z, y), -a)
             self._cmul[key] = cached
@@ -245,7 +302,7 @@ class TLAlgebra(_Algebra):
         self._cbasis: dict[GroupElement, Coords] = {}
         self._cbasis_rec: dict[GroupElement, Coords] = {}
         self._recursion_failed = False
-        self._cgen: dict[tuple[int, GroupElement], Coords] = {}
+        self._basis_lmul = graph.fc_lmul
         self._qcol: dict[GroupElement, Coords] = {}
 
     # -- the multiplication kernel ------------------------------------------------
@@ -341,49 +398,16 @@ class TLAlgebra(_Algebra):
         """The v^-1 coefficient of p*(y, w)."""
         if not (y.is_fully_commutative() and w.is_fully_commutative()):
             return 0
-        return self.canonical(w).get(y, ZERO).coeff(-1)
+        return self.mu(y, w)
 
     def m_tilde(self, x: GroupElement, y: GroupElement) -> int:
         return self.m_coeff(x, y) if x.length <= y.length else self.m_coeff(y, x)
-
-    # -- coordinate conversions ----------------------------------------------------------
-
-    def to_c(self, tcoords: Coords) -> Coords:
-        """Standard-basis coefficients -> canonical-basis coefficients
-        (greedy unitriangular elimination from the top)."""
-        rem = dict(tcoords)
-        out: Coords = {}
-        while rem:
-            w = max(rem)
-            a = out[w] = rem[w]
-            acc(rem, self.canonical(w), -a)
-            if w in rem:  # the unit diagonal of c_w clears rem[w]
-                raise InternalConsistencyError(f"c[{format_element(w)}] is not unitriangular")
-        return out
-
-    def from_c(self, ccoords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in ccoords.items():
-            acc(out, self.canonical(w), c)
-        return out
-
-    def c_lgen(self, s: int, w: GroupElement) -> Coords:
-        """c_s c_w in canonical coordinates, memoized on (s, w)."""
-        key = (s, w)
-        cached = self._cgen.get(key)
-        if cached is None:
-            cw = self.canonical(w)
-            prod = self.lmul(s, cw)
-            acc(prod, cw, V_INV)
-            cached = self.to_c(prod)
-            self._cgen[key] = cached
-        return cached
 
     def c_mul(self, x: GroupElement, y: GroupElement) -> Coords:
         """The product of canonical basis elements in canonical coordinates,
         by the left action of the canonical generators (never leaves
         canonical coordinates; `_product`)."""
-        return self._product(x, y, self.c_lgen, self.c_mul)
+        return self._product(x, y, self.c_mul)
 
     # -- q* by the descent recursion ---------------------------------------------------------
 

@@ -204,6 +204,25 @@ def test_structure_matches_the_row_by_row_renderer(name, kl, capsys):
     assert out == structure_row_by_row(name, kl)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4"])
+def test_kl_constants_equal_the_quotient_constants(name, capsys):
+    # on these graphs the oracle's constants at fully commutative z are the
+    # quotient's, so the two products print the same bytes
+    kl = run_cli(capsys, "structure", "--preset", name, "--kl-constants")
+    assert kl == run_cli(capsys, "structure", "--preset", name)
+    assert kl[0] == 0
+
+
+def test_kl_constants_bytes_on_d4(capsys):
+    # D4 is where the oracle's constants and the quotient's differ
+    import hashlib
+
+    code, out, err = run_cli(capsys, "structure", "--preset", "D4", "--kl-constants")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c0bf76470439cba8b40fcfdaffd1c0711bd71791791c85308e1d3be9a58a9e46"
+
+
 def test_tables_and_kl_tables(capsys):
     code, out, _ = run_cli(capsys, "tables", "--preset", "A2", "--bound", "3")
     assert code == 0
@@ -580,7 +599,7 @@ def test_memo_inventory(monkeypatch, capsys):
         "CoxeterGraph": {"_words", "_elements", "_fc", "algebras"},
         "TLAlgebra": {"_bar", "_cmul", "_lgen", "_expand", "_cbasis", "_cbasis_rec",
                       "_cgen", "_qcol"},
-        "HeckeAlgebra": {"_bar", "_cmul", "_kl", "_klgen"},
+        "HeckeAlgebra": {"_bar", "_cmul", "_kl", "_cgen"},
         "TraceEvaluator": {"_tau_t", "_form"},
         "BuiltinTrace": {"_tau_c"},
     }
