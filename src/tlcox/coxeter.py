@@ -22,8 +22,11 @@ word problems:
   all generators t.  s is a left descent of w iff w^-1(a_s) is negative, the
   key of s*w is w^-1(a_t) - a_st w^-1(a_s), which replays no word, and the
   canonical word comes from stripping the least left descent until a known
-  key, memoized from key to word.  Right descents are the left descents of
-  the inverse.  The Cartan entries are integers for labels 2, 3, 4, 6 and
+  key, memoized from key to word.  Enumeration of the whole group tests no
+  sign: once a level holds every element of its length, the generators s
+  that reach a new element x as s*w from that level are its left descents,
+  so x is named by the least of them followed by the word of s*x.  Right
+  descents are the left descents of the inverse.  The Cartan entries are integers for labels 2, 3, 4, 6 and
   infinity (a_st a_ts = 0, 1, 2, 3 and 4); every other label m has
   a_st = a_ts = -2cos(pi/m) in Z[c], c = 2cos(pi/M) for M the lcm of those
   labels, with elements stored as integer vectors modulo the minimal
@@ -216,7 +219,7 @@ class CoxeterGraph:
 
     __slots__ = (
         "bonds", "name", "rank", "_nbrs", "_braids", "_ring", "_cartan", "_unit_key",
-        "_words", "_elements", "_identity", "_fc", "_levels",
+        "_words", "_elements", "_identity", "_fc", "_descents", "_levels",
         "_level_complete", "algebras",
     )
 
@@ -259,6 +262,8 @@ class CoxeterGraph:
         self._elements: dict[tuple[int, ...], GroupElement] = {}
         self._identity: GroupElement | None = None
         self._fc: dict[tuple[int, ...], GroupElement | None] = {}
+        # descent sets by bitmask: one frozenset per distinct value
+        self._descents: dict[int, frozenset[int]] = {}
         # indexed by fc_only: all elements, fully commutative ones
         self._levels: tuple[list[list[GroupElement]], ...] = ([], [])
         self._level_complete = [False, False]
@@ -463,9 +468,21 @@ class CoxeterGraph:
             out.append(a)
             ptr[a] += 1
             left ^= 1 << i
-        return (tuple(out),  # the labels of the minimal and of the maximal elements
-                frozenset(word[i] for i in range(n) if down[i] == 1 << i),
-                frozenset(word[i] for i in range(n) if up[i] == 1 << i))
+        ldesc = rdesc = 0  # the labels of the minimal and of the maximal elements
+        for i, a in enumerate(word):
+            if down[i] == 1 << i:
+                ldesc |= 1 << a
+            if up[i] == 1 << i:
+                rdesc |= 1 << a
+        return tuple(out), self._descent_set(ldesc), self._descent_set(rdesc)
+
+    def _descent_set(self, mask: int) -> frozenset[int]:
+        """The generators in a bitmask, one shared frozenset per value."""
+        got = self._descents.get(mask)
+        if got is None:
+            got = self._descents[mask] = frozenset(
+                s for s in range(self.rank) if mask >> s & 1)
+        return got
 
     def _intern(self, word: tuple[int, ...]) -> GroupElement:
         el = self._elements.get(word)
@@ -570,7 +587,8 @@ class CoxeterGraph:
         w = w if w.graph is self else self.element(w.word)
         if w.ldesc is None and not self.is_fully_commutative(w):  # FC: from the heap
             key = self._roots(w)
-            w.ldesc = frozenset(t for t in self.generators() if self._negative(key, t))
+            w.ldesc = self._descent_set(sum(1 << t for t in self.generators()
+                                            if self._negative(key, t)))
         return w.ldesc
 
     def right_descents(self, w: "GroupElement") -> frozenset[int]:
@@ -625,22 +643,79 @@ class CoxeterGraph:
         descent of w.  Every left factor of a fully commutative element is
         fully commutative, so the fully commutative levels grow from
         themselves, keeping s*w when the heap of its word passes the test.
+        The whole group grows by `_next_level`, which names each new element
+        by its least left descent and tests no sign.
         """
         levels = self._levels[fc_only]
         if not levels:
             levels.append([self.identity])
         while len(levels) <= bound and not self._level_complete[fc_only]:
-            nxt = set()
-            for w in levels[-1]:
-                desc = self.left_descents(w)
-                nxt.update(self.fc_lmul(s, w) if fc_only else self.lmul(s, w)
-                           for s in self.generators() if s not in desc)
-            nxt.discard(None)
+            if fc_only:
+                nxt = set()
+                for w in levels[-1]:
+                    desc = self.left_descents(w)
+                    nxt.update(self.fc_lmul(s, w) for s in self.generators() if s not in desc)
+                nxt.discard(None)
+            else:
+                nxt = self._next_level(levels[-1])
             if not nxt:
                 self._level_complete[fc_only] = True
                 break
             levels.append(sorted(nxt, key=lambda e: e.word))
         return levels[: bound + 1]
+
+    def _next_level(self, level: list["GroupElement"]) -> list["GroupElement"]:
+        """The elements of length k + 1, given `level`, all elements of
+        length k.  For w in `level` and s not in L(w), s*w is w's recorded
+        neighbour, else the heap of s.w when w is fully commutative, else
+        found by one root update of w's key, looked up in `_words`.  Each s
+        in L(x) reaches x from s*x, which lies in `level`, so the generators
+        that reach x are its left descents, and the least of them followed
+        by the word of s*x is its canonical word.  A key with no known word
+        is a new element; like every product found by its roots, it is not
+        fully commutative."""
+        words, lmul_roots = self._words, self._lmul_roots
+        reach: dict[GroupElement, int] = {}  # x -> bitmask of the s that reach it
+        fresh: dict[tuple[int, ...], list[tuple[int, GroupElement]]] = {}  # key -> (s, s*x)
+        for w in level:
+            desc = self.left_descents(w)
+            fc = self.is_fully_commutative(w)
+            key = None
+            for s in range(self.rank):
+                if s in desc:
+                    continue
+                x = w.lnbr[s]
+                if x is None:
+                    if fc:
+                        x = self._fc_element((s,) + w.word)
+                    if x is None:
+                        if key is None:
+                            key = self._roots(w)
+                        xkey = lmul_roots(s, key)
+                        word = words.get(xkey)
+                        if word is None:
+                            fresh.setdefault(xkey, []).append((s, w))
+                            continue
+                        x = self._intern(word)
+                        if x.roots is None:
+                            x.roots = xkey
+                        x.fc = False
+                    w.lnbr[s], x.lnbr[s] = x, w
+                reach[x] = reach.get(x, 0) | 1 << s
+        for xkey, pairs in fresh.items():
+            t, w = min(pairs, key=lambda pair: pair[0])
+            x = self._intern((t,) + w.word)
+            x.roots, x.fc = xkey, False
+            words[xkey] = x.word
+            mask = 0
+            for s, w in pairs:
+                w.lnbr[s], x.lnbr[s] = x, w
+                mask |= 1 << s
+            reach[x] = mask
+        for x, mask in reach.items():
+            if x.ldesc is None:
+                x.ldesc = self._descent_set(mask)
+        return list(reach)
 
 
 class GroupElement:

@@ -190,15 +190,21 @@ class KLTables:
         return LaurentPoly.v(w.length - y.length) * self.columns.get(w, {}).get(y, ZERO)
 
     def dump_tsv(self) -> str:
+        """One row per nonzero P(y, w), column by column.  Each distinct
+        coefficient and shift is rendered once: few distinct ones occur."""
         pos = {w: i for i, w in enumerate(self.elements)}
         names = [format_element(w) for w in self.elements]
+        cells: dict[tuple[LaurentPoly, int], str] = {}
         lines = ["y\tw\tP\tmu"]
         for w, col in self.columns.items():
             head, lw = names[pos[w]], len(w.word)
             for i in sorted(map(pos.__getitem__, col)):
                 y = self.elements[i]
-                lines.append(f"{names[i]}\t{head}\t{format_q(col[y], lw - len(y.word))}\t"
-                             f"{col[y].coeff(-1)}")
+                p, shift = col[y], lw - len(y.word)
+                cell = cells.get((p, shift))
+                if cell is None:
+                    cell = cells[p, shift] = f"{format_q(p, shift)}\t{p.coeff(-1)}"
+                lines.append(f"{names[i]}\t{head}\t{cell}")
         return "\n".join(lines) + "\n"
 
 

@@ -647,18 +647,23 @@ class CoeffTables:
 
     def dump_tsv(self) -> str:
         """One row per pair with p* or q* nonzero, column by column, each
-        column's rows in element order."""
+        column's rows in element order.  Each distinct p, q and shift is
+        rendered once: few distinct ones occur."""
         pos = {w: i for i, w in enumerate(self.elements)}
         names = [format_element(w) for w in self.elements]
+        cells: dict[tuple[LaurentPoly, LaurentPoly, int], str] = {}
         lines = ["y\tw\tp_star\tq_star\tM"]
         for w, head in zip(self.elements, names):
             pcol, qcol, lw = self.p_columns[w], self.q_columns[w], len(w.word)
             for i in sorted(map(pos.__getitem__, pcol.keys() | qcol.keys())):
                 y = self.elements[i]
-                p, shift = pcol.get(y, ZERO), len(y.word) - lw
-                q = sorted(((e + shift, c) for e, c in qcol.get(y, ZERO).items()), reverse=True)
-                lines.append(f"{names[i]}\t{head}\t{p.format()}\t{format_terms(q, 'v')}\t"
-                             f"{p.coeff(-1)}")
+                p, q, shift = pcol.get(y, ZERO), qcol.get(y, ZERO), len(y.word) - lw
+                cell = cells.get((p, q, shift))
+                if cell is None:
+                    terms = sorted(((e + shift, c) for e, c in q.items()), reverse=True)
+                    cell = cells[p, q, shift] = (f"{p.format()}\t{format_terms(terms, 'v')}\t"
+                                                 f"{p.coeff(-1)}")
+                lines.append(f"{names[i]}\t{head}\t{cell}")
         return "\n".join(lines) + "\n"
 
 

@@ -204,6 +204,75 @@ def test_structure_matches_the_row_by_row_renderer(name, kl, capsys):
     assert out == structure_row_by_row(name, kl)
 
 
+def kl_tables_row_by_row(tables):
+    """`KLTables.dump_tsv` with every row rendered on its own: the reference
+    for the renderer, which renders each distinct cell once."""
+    from tlcox.coxeter import format_element
+    from tlcox.hecke import format_q
+
+    pos = {w: i for i, w in enumerate(tables.elements)}
+    names = [format_element(w) for w in tables.elements]
+    lines = ["y\tw\tP\tmu"]
+    for w, col in tables.columns.items():
+        head, lw = names[pos[w]], len(w.word)
+        for i in sorted(map(pos.__getitem__, col)):
+            y = tables.elements[i]
+            lines.append(f"{names[i]}\t{head}\t{format_q(col[y], lw - len(y.word))}\t"
+                         f"{col[y].coeff(-1)}")
+    return "\n".join(lines) + "\n"
+
+
+def coeff_tables_row_by_row(tables):
+    """`CoeffTables.dump_tsv` with every row rendered on its own."""
+    from tlcox.coxeter import format_element
+    from tlcox.laurent import ZERO, format_terms
+
+    pos = {w: i for i, w in enumerate(tables.elements)}
+    names = [format_element(w) for w in tables.elements]
+    lines = ["y\tw\tp_star\tq_star\tM"]
+    for w, head in zip(tables.elements, names):
+        pcol, qcol, lw = tables.p_columns[w], tables.q_columns[w], len(w.word)
+        for i in sorted(map(pos.__getitem__, pcol.keys() | qcol.keys())):
+            y = tables.elements[i]
+            p, shift = pcol.get(y, ZERO), len(y.word) - lw
+            q = sorted(((e + shift, c) for e, c in qcol.get(y, ZERO).items()), reverse=True)
+            lines.append(f"{names[i]}\t{head}\t{p.format()}\t{format_terms(q, 'v')}\t"
+                         f"{p.coeff(-1)}")
+    return "\n".join(lines) + "\n"
+
+
+RANK4_INF_5_4 = "rank 4\nedge 1 2 inf\nedge 2 3 5\nedge 3 4 4\n"
+
+
+@pytest.mark.parametrize("graph,bound,kl", [
+    ("A4", None, True), ("B3", None, True), ("D4", None, True), ("B4", None, False),
+    ("H3", None, False), ("~C3", 7, False), ("rank4", 7, False),
+])
+def test_tables_match_the_row_by_row_renderers(graph, bound, kl, tmp_path, capsys):
+    import math
+
+    from tlcox.coxeter import group_order, parse_graph, preset as p
+    from tlcox.hecke import kl_tables
+    from tlcox.tl import coeff_tables
+
+    if graph == "rank4":
+        path = tmp_path / "g.txt"
+        path.write_text(RANK4_INF_5_4)
+        argv, g = ["--graph", str(path)], parse_graph(RANK4_INF_5_4)
+    else:
+        argv, g = ["--preset", graph], p(graph)
+    if bound is None:
+        bound = group_order(g, math.inf)[1]
+    else:
+        argv += ["--bound", str(bound)]
+    code, out, err = run_cli(capsys, "tables", *argv, *(["--kl"] if kl else []))
+    assert code == 0 and err == ""
+    if kl:
+        assert out == kl_tables_row_by_row(kl_tables(g, bound))
+    else:
+        assert out == coeff_tables_row_by_row(coeff_tables(g, bound))
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4"])
 def test_kl_constants_equal_the_quotient_constants(name, capsys):
     # on these graphs the oracle's constants at fully commutative z are the
@@ -596,7 +665,7 @@ def test_memo_inventory(monkeypatch, capsys):
     for obj in (g, d, *g.algebras.values(), *d.algebras.values(), *built):
         inventory.setdefault(type(obj).__name__, set()).update(memo_names(obj))
     assert inventory == {
-        "CoxeterGraph": {"_words", "_elements", "_fc", "algebras"},
+        "CoxeterGraph": {"_words", "_elements", "_fc", "_descents", "algebras"},
         "TLAlgebra": {"_bar", "_cmul", "_lgen", "_expand", "_cbasis", "_cbasis_rec",
                       "_cgen", "_qcol"},
         "HeckeAlgebra": {"_bar", "_cmul", "_kl", "_cgen"},

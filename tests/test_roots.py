@@ -6,7 +6,10 @@ closure of `braid_closure.ClosureRoute`, which shares no state with it; the
 two must give the same elements in the same order, the same canonical
 words, descents, products by each generator and sets of reduced words.
 The bounds stop where the closure gets expensive; the root route itself
-is pinned further out by the orders of whole finite groups."""
+is pinned further out by the orders of whole finite groups.  The level
+grower of the whole group, which reads left descents off the neighbour
+records and tests no sign, is checked against the root route on a new
+graph, from empty memos and from memos that other calls filled first."""
 
 import math
 import random
@@ -106,6 +109,57 @@ def test_whole_group_orders(name, order, longest):
     assert group_order(g, math.inf) == (order, longest)
     w0 = els[-1]  # the longest element: every generator is a descent on both sides
     assert w0.left_descents() == w0.right_descents() == frozenset(g.generators())
+
+
+GROWER_CASES = [("D4", 12), ("D5", 10), ("F4", 24), ("H3", 15), ("B4", 16), ("~A2", 8),
+                ("rank4", 6)]
+
+
+def grower_records(g, els, bound):
+    """Per element: its word, left descents, FC flag and the neighbours the
+    grower records, s*w for every s below the last level and for s in L(w)
+    on it."""
+    return [(w.word, g.left_descents(w), g.is_fully_commutative(w),
+             [(s, w.lnbr[s].word) for s in g.generators()
+              if len(w.word) < bound or s in w.ldesc]) for w in els]
+
+
+@pytest.mark.parametrize("name,bound", GROWER_CASES)
+def test_grower_matches_the_root_route(name, bound):
+    g = build(name)
+    els = list(enumerate_elements(g, bound))
+    h = build(name)  # the root route on empty memos
+    for w in els:
+        assert w.ldesc is not None and w.fc is not None, w  # recorded, not computed later
+        key = h._replay(w.word)
+        assert h._word_of(key) == w.word
+        assert w.ldesc == {t for t in h.generators() if h._negative(key, t)}, w
+        assert w.fc == (h.fc_normal_form_word(w.word) is not None), w
+        for s, x in enumerate(w.lnbr):
+            if x is not None:
+                assert x.word == h._word_of(h._lmul_roots(s, key)), (w, s)
+            else:  # every product the grower formed is recorded
+                assert len(w.word) == bound and s not in w.ldesc, (w, s)
+
+
+@pytest.mark.parametrize("name,bound", GROWER_CASES)
+def test_grower_from_a_mixed_state(name, bound):
+    # elements built by normal forms, by products and by a shorter
+    # enumeration leave records that the grower reads and fills
+    bound = min(bound, 8)
+    g = build(name)
+    rng = random.Random(name)
+    for _ in range(40):
+        w = g.element([rng.randrange(g.rank) for _ in range(rng.randint(0, bound + 3))])
+        for _ in range(3):
+            w = g.lmul(rng.randrange(g.rank), w)
+    list(enumerate_elements(g, 4))
+    # records the grower must fill: descents of elements it has not built
+    assert any(w.ldesc is None for w in g._elements.values() if len(w.word) <= bound)
+    mixed = list(enumerate_elements(g, bound))
+    h = build(name)
+    fresh = list(enumerate_elements(h, bound))
+    assert grower_records(g, mixed, bound) == grower_records(h, fresh, bound)
 
 
 def test_minimal_polynomials_of_cosines():
