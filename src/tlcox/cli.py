@@ -18,28 +18,22 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coxeter import (
-    CoxeterGraph,
-    GraphError,
-    enumerate_elements,
-    format_element,
-    group_order,
-    parse_graph,
-    preset,
-)
-from .stars import check_property_F, check_property_S
 
-# `hecke`, `tl` and `trace` are imported by the commands that use them, so
-# start-up (and `tlcox --version`) compiles only what every command needs
+# every engine module is imported by the commands that use it, so start-up,
+# `--version`, `--help` and usage errors compile this module only; a failure
+# carries its exit code (`exit_code`), so `main` imports nothing to pick it
 
 DEFAULT_GROUP_CAP = 50_000
 
 
 class ConfigError(ValueError):
-    pass
+    exit_code = 2
 
 
-def _load_graph(args) -> CoxeterGraph:
+def _load_graph(args):
+    """The graph of --preset or --graph (a `coxeter.CoxeterGraph`)."""
+    from .coxeter import parse_graph, preset
+
     if args.preset and args.graph:
         raise ConfigError("--preset and --graph are mutually exclusive")
     if args.preset:
@@ -53,7 +47,7 @@ def _load_graph(args) -> CoxeterGraph:
     return g
 
 
-def _oracle(args, graph: CoxeterGraph):
+def _oracle(args, graph):
     """The full-group algebra of this run's graph, with --oracle-cap if given."""
     from .hecke import HeckeAlgebra
 
@@ -63,7 +57,7 @@ def _oracle(args, graph: CoxeterGraph):
     return alg
 
 
-def _resolve_bound(args, graph: CoxeterGraph, whole_group: bool) -> int:
+def _resolve_bound(args, graph, whole_group: bool) -> int:
     """The --bound, else the longest length of the finite group.  Commands
     that enumerate the whole group (whole_group) refuse groups larger than
     DEFAULT_GROUP_CAP; the others only ever build fully commutative
@@ -72,6 +66,8 @@ def _resolve_bound(args, graph: CoxeterGraph, whole_group: bool) -> int:
         if args.bound < 0:
             raise ConfigError("--bound must be nonnegative")
         return args.bound
+    from .coxeter import group_order
+
     order = group_order(graph, DEFAULT_GROUP_CAP if whole_group else math.inf)
     if order is None:
         larger = f" or larger than {DEFAULT_GROUP_CAP} elements" if whole_group else ""
@@ -86,7 +82,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _trace_source(args, graph: CoxeterGraph):
+def _trace_source(args, graph):
     from .trace import builtin_trace, is_linear_bond3, load_trace_table
     if args.trace:
         table = load_trace_table(graph, Path(args.trace).read_text(),
@@ -100,7 +96,9 @@ def _trace_source(args, graph: CoxeterGraph):
 
 
 def cmd_basis(args) -> int:
+    from .coxeter import enumerate_elements, format_element
     from .tl import TLAlgebra
+
     graph = _load_graph(args)
     bound = _resolve_bound(args, graph, whole_group=args.kl)
     alg = TLAlgebra.for_graph(graph)
@@ -137,6 +135,7 @@ def cmd_basis(args) -> int:
 
 def cmd_mu(args) -> int:
     from .trace import mu_report
+
     graph = _load_graph(args)
     if args.methods == "all":
         methods = ("m", "oracle", "trace")
@@ -159,8 +158,10 @@ def cmd_verify(args) -> int:
     prop = args.property
     bound = _resolve_bound(args, graph, whole_group=prop in ("S", "W"))
     if prop == "F":
+        from .stars import check_property_F
         report = check_property_F(graph, bound)
     elif prop == "S":
+        from .stars import check_property_S
         report = check_property_S(graph, bound)
     elif prop == "W":
         from .tl import check_property_W
@@ -174,16 +175,20 @@ def cmd_verify(args) -> int:
     return 0 if report.holds else 1
 
 
-def _structure_rows(elements, product) -> list[str]:
+def _structure_text(elements, product) -> str:
     """The `structure` table: one row x, y, z, constant, nonneg per z in
     product(x, y), over all x and y in `elements`.  Each element's name and
     each distinct constant's cell are rendered once: few distinct constants
-    occur."""
+    occur.  The rows of each x are joined on their own, so no list of the
+    whole table's rows is held beside its text."""
+    from .coxeter import format_element
+
     named = [(x, format_element(x)) for x in elements]
     names = dict(named)
     cells: dict = {}
-    rows = ["x\ty\tz\tcoeff\tnonneg"]
+    columns = ["x\ty\tz\tcoeff\tnonneg\n"]
     for x, nx in named:
+        rows = []
         for y, ny in named:
             head = f"{nx}\t{ny}\t"
             for z, c in sorted(product(x, y).items()):
@@ -195,23 +200,26 @@ def _structure_rows(elements, product) -> list[str]:
                     d = c.to_delta_basis()
                     ok = d is not None and d.is_nonneg()
                     cell = cells[c] = (f"{d.format() if d is not None else c.format()}\t"
-                                       f"{str(ok).lower()}")
+                                       f"{str(ok).lower()}\n")
                 rows.append(f"{head}{nz}\t{cell}")
-    return rows
+        columns.append("".join(rows))
+    return "".join(columns)
 
 
 def cmd_structure(args) -> int:
+    from .coxeter import enumerate_elements
+
     graph = _load_graph(args)
     bound = _resolve_bound(args, graph, whole_group=args.kl_constants)
     if args.kl_constants:
         hk = _oracle(args, graph)
-        rows = _structure_rows(list(enumerate_elements(graph, bound)), lambda x, y: {
+        text = _structure_text(list(enumerate_elements(graph, bound)), lambda x, y: {
             z: c for z, c in hk.kl_mul(x, y).items() if z.is_fully_commutative()})
     else:
         from .tl import TLAlgebra
         alg = TLAlgebra.for_graph(graph)
-        rows = _structure_rows(list(enumerate_elements(graph, bound, fc_only=True)), alg.c_mul)
-    _emit(args, "\n".join(rows) + "\n")
+        text = _structure_text(list(enumerate_elements(graph, bound, fc_only=True)), alg.c_mul)
+    _emit(args, text)
     return 0
 
 
@@ -287,18 +295,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        from .hecke import OracleCapExceeded
-        from .tl import CanonicalRecursionError, InternalConsistencyError
-        from .trace import NonBipartiteGraph, TraceGapError, TraceTableError
-
-        if isinstance(exc, (ConfigError, GraphError, TraceTableError, TraceGapError,
-                            NonBipartiteGraph, OracleCapExceeded, FileNotFoundError)):
+        code = 2 if isinstance(exc, FileNotFoundError) else getattr(exc, "exit_code", None)
+        if code == 2:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(exc, (InternalConsistencyError, CanonicalRecursionError)):
+        elif code == 3:
             print(f"internal consistency failure: {exc}", file=sys.stderr)
-            return 3
-        raise
+        else:
+            raise
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

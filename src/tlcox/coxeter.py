@@ -58,6 +58,8 @@ _MISSING = object()
 class GraphError(ValueError):
     """Malformed graph description or preset name."""
 
+    exit_code = 2
+
 
 # -- the scalars of the root system ---------------------------------------------------
 

@@ -33,6 +33,8 @@ DEFAULT_ELEMENT_CAP = 50_000
 class OracleCapExceeded(RuntimeError):
     """A support enumeration outgrew the configured oracle element cap."""
 
+    exit_code = 2
+
 
 class HeckeAlgebra(_Algebra):
     """Memoized full-group arithmetic for one graph object; obtain via
@@ -191,21 +193,25 @@ class KLTables:
 
     def dump_tsv(self) -> str:
         """One row per nonzero P(y, w), column by column.  Each distinct
-        coefficient and shift is rendered once: few distinct ones occur."""
+        coefficient and shift is rendered once: few distinct ones occur.
+        Each column's rows are joined on their own, so no list of the whole
+        table's rows is held beside its text."""
         pos = {w: i for i, w in enumerate(self.elements)}
         names = [format_element(w) for w in self.elements]
         cells: dict[tuple[LaurentPoly, int], str] = {}
-        lines = ["y\tw\tP\tmu"]
+        columns = ["y\tw\tP\tmu\n"]
         for w, col in self.columns.items():
             head, lw = names[pos[w]], len(w.word)
+            rows = []
             for i in sorted(map(pos.__getitem__, col)):
                 y = self.elements[i]
                 p, shift = col[y], lw - len(y.word)
                 cell = cells.get((p, shift))
                 if cell is None:
-                    cell = cells[p, shift] = f"{format_q(p, shift)}\t{p.coeff(-1)}"
-                lines.append(f"{names[i]}\t{head}\t{cell}")
-        return "\n".join(lines) + "\n"
+                    cell = cells[p, shift] = f"{format_q(p, shift)}\t{p.coeff(-1)}\n"
+                rows.append(f"{names[i]}\t{head}\t{cell}")
+            columns.append("".join(rows))
+        return "".join(columns)
 
 
 def kl_tables(graph: CoxeterGraph, length_bound: int) -> KLTables:

@@ -67,11 +67,15 @@ Coords = dict[GroupElement, LaurentPoly]
 class InternalConsistencyError(RuntimeError):
     """Two routes that must agree exactly did not."""
 
+    exit_code = 3
+
 
 class CanonicalRecursionError(RuntimeError):
     """The length recursion for the canonical basis produced coefficients
     violating the depressed-degree condition (the weakly complex rewrite
     property failed on this graph)."""
+
+    exit_code = 3
 
 
 def bar_solve(w: GroupElement, bar_expand: Callable[[GroupElement], Coords]) -> Coords:
@@ -304,6 +308,7 @@ class TLAlgebra(_Algebra):
         self._recursion_failed = False
         self._basis_lmul = graph.fc_lmul
         self._qcol: dict[GroupElement, Coords] = {}
+        self._qmu: dict[GroupElement, list[tuple[GroupElement, LaurentPoly]]] = {}
 
     # -- the multiplication kernel ------------------------------------------------
 
@@ -422,9 +427,10 @@ class TLAlgebra(_Algebra):
 
         the sum over y with s not in L(y) and len(y) - len(x) odd, where
         mu(x, y) is the v^(len(y) - len(x) - 1) coefficient of q(x, y).  Each
-        term is read off column w' and the columns of its support, which lie
-        below w by the lifting property; s x is built only when the heap says
-        it is fully commutative.  Memoized on w."""
+        term is read off column w' and the mu-edges of its support
+        (`_mu_edges`), which lie below w by the lifting property; s x is
+        built only when the heap says it is fully commutative.  Memoized on
+        w."""
         cached = self._qcol.get(w)
         if cached is not None:
             return cached
@@ -443,15 +449,24 @@ class TLAlgebra(_Algebra):
                 acc(col, {y: qy})
                 if (sy := g.fc_lmul(s, y)) is not None:
                     acc(col, {sy: qy})
-                ly = len(y.word)
-                for x, qx in self.q_column(y).items():
-                    d = ly - len(x.word)
-                    if d % 2 and s in left(x):
-                        mu = qx.coeff(d - 1)
-                        if mu:
-                            acc(col, {x: qy}, LaurentPoly({d + 1: mu}))
+                for x, mu in self._mu_edges(y):
+                    if s in left(x):
+                        acc(col, {x: qy}, mu)
         self._qcol[w] = col
         return col
+
+    def _mu_edges(self, y: GroupElement) -> list[tuple[GroupElement, LaurentPoly]]:
+        """(x, mu(x, y) v^(d + 1)) for the x of column y with d = len(y) -
+        len(x) odd and mu(x, y) nonzero, in column order: the terms the
+        descent recursion of `q_column` reads off column y.  Few x of a
+        column qualify.  Memoized on y."""
+        edges = self._qmu.get(y)
+        if edges is None:
+            ly = len(y.word)
+            edges = self._qmu[y] = [
+                (x, LaurentPoly({d + 1: mu})) for x, qx in self.q_column(y).items()
+                if (d := ly - len(x.word)) % 2 and (mu := qx.coeff(d - 1))]
+        return edges
 
     def q_poly(self, x: GroupElement, w: GroupElement) -> LaurentPoly:
         """q(x, w), read off column w."""
@@ -648,13 +663,16 @@ class CoeffTables:
     def dump_tsv(self) -> str:
         """One row per pair with p* or q* nonzero, column by column, each
         column's rows in element order.  Each distinct p, q and shift is
-        rendered once: few distinct ones occur."""
+        rendered once: few distinct ones occur.  Each column's rows are
+        joined on their own, so no list of the whole table's rows is held
+        beside its text."""
         pos = {w: i for i, w in enumerate(self.elements)}
         names = [format_element(w) for w in self.elements]
         cells: dict[tuple[LaurentPoly, LaurentPoly, int], str] = {}
-        lines = ["y\tw\tp_star\tq_star\tM"]
+        columns = ["y\tw\tp_star\tq_star\tM\n"]
         for w, head in zip(self.elements, names):
             pcol, qcol, lw = self.p_columns[w], self.q_columns[w], len(w.word)
+            rows = []
             for i in sorted(map(pos.__getitem__, pcol.keys() | qcol.keys())):
                 y = self.elements[i]
                 p, q, shift = pcol.get(y, ZERO), qcol.get(y, ZERO), len(y.word) - lw
@@ -662,9 +680,10 @@ class CoeffTables:
                 if cell is None:
                     terms = sorted(((e + shift, c) for e, c in q.items()), reverse=True)
                     cell = cells[p, q, shift] = (f"{p.format()}\t{format_terms(terms, 'v')}\t"
-                                                 f"{p.coeff(-1)}")
-                lines.append(f"{names[i]}\t{head}\t{cell}")
-        return "\n".join(lines) + "\n"
+                                                 f"{p.coeff(-1)}\n")
+                rows.append(f"{names[i]}\t{head}\t{cell}")
+            columns.append("".join(rows))
+        return "".join(columns)
 
 
 def _first_unreconciled(elements: list[GroupElement], p_columns: dict[GroupElement, Coords],

@@ -30,13 +30,19 @@ from .tl import Coords, TLAlgebra, TLElement, star_involution_coords
 class TraceTableError(ValueError):
     """Malformed trace table text or unusable table."""
 
+    exit_code = 2
+
 
 class TraceGapError(KeyError):
     """A trace value was requested outside the table's coverage."""
 
+    exit_code = 2
+
 
 class NonBipartiteGraph(ValueError):
     """The v^-1 extraction needs a 2-colorable graph."""
+
+    exit_code = 2
 
 
 # -- planar diagrams ---------------------------------------------------------------

@@ -18,7 +18,7 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert "tlcox" in capsys.readouterr().out
+    assert capsys.readouterr().out == "tlcox 0.1.0\n"
 
 
 def test_basis_small(capsys):
@@ -354,14 +354,15 @@ def test_back_to_back_runs_keep_nothing(monkeypatch, capsys):
     # built: none of them outlives the run
     import gc
 
-    import tlcox.cli
+    import tlcox.coxeter
     from tlcox.coxeter import CoxeterGraph, GroupElement
     from tlcox.hecke import HeckeAlgebra
     from tlcox.tl import TLAlgebra
 
     graph_ids = []
-    original = tlcox.cli.preset
-    monkeypatch.setattr(tlcox.cli, "preset",
+    # the CLI imports preset from tlcox.coxeter when the command runs
+    original = tlcox.coxeter.preset
+    monkeypatch.setattr(tlcox.coxeter, "preset",
                         lambda name: graph_ids.append(id(g := original(name))) or g)
 
     def left_over(graph_id):
@@ -424,6 +425,92 @@ def test_internal_consistency_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "tables", "--preset", "A2", "--bound", "2")
     assert code == 3
     assert "internal consistency" in err
+
+
+# (files written to the working directory, argv, exit code, stderr): one
+# real failure per error class the CLI maps to an exit code, each raised
+# where it arises, and a --graph file that does not exist
+FAILURES = {
+    "ConfigError": ({}, ("verify", "S", "--preset", "~A2"), 2,
+                    "error: group is infinite or larger than 50000 elements; "
+                    "an explicit --bound is required\n"),
+    "GraphError": ({}, ("basis", "--preset", "nosuch", "--bound", "2"), 2,
+                   "error: unknown preset 'nosuch'\n"),
+    "FileNotFoundError": ({}, ("verify", "F", "--graph", "nofile.txt", "--bound", "2"), 2,
+                          "error: [Errno 2] No such file or directory: 'nofile.txt'\n"),
+    "TraceTableError": ({"t.txt": "e 1\n"},
+                        ("verify", "B", "--preset", "A2", "--bound", "2", "--trace", "t.txt"),
+                        2, "error: line 1: missing ':'\n"),
+    "TraceGapError": ({"t.txt": "e : 1\n"},
+                      ("verify", "B", "--preset", "A3", "--bound", "1", "--trace", "t.txt"),
+                      2, "error: 'trace table has no value at 1'\n"),
+    "NonBipartiteGraph": ({"t.txt": "e : 1\n"},
+                          ("mu", "--preset", "~A2", "--bound", "2", "--methods", "trace",
+                           "--trace", "t.txt"),
+                          2, "error: the v^-1 extraction is only valid over 2-colorable "
+                             "graphs\n"),
+    "OracleCapExceeded": ({}, ("tables", "--preset", "A4", "--bound", "3", "--kl",
+                               "--oracle-cap", "3"),
+                          2, "error: oracle support of 29 elements exceeds the cap 3\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILURES))
+def test_every_failure_reaches_its_exit_code(name, tmp_path, monkeypatch, capsys):
+    files, argv, code, err = FAILURES[name]
+    for file, text in files.items():
+        (tmp_path / file).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (code, "", err)
+
+
+def test_canonical_recursion_failure_exit_code(monkeypatch, capsys):
+    # `basis` compares the two canonical-basis routes, so a refusal of the
+    # length recursion is not caught on the way to the CLI
+    refused = refuse_recursion_from_length_3(monkeypatch)
+    assert run_cli(capsys, "basis", "--preset", "B3") == (
+        3, "", "internal consistency failure: rigged refusal\n")
+    assert refused
+
+
+# error class -> (defining module, exit code)
+EXIT_CODES = {
+    "ConfigError": ("cli", 2), "GraphError": ("coxeter", 2), "TraceTableError": ("trace", 2),
+    "TraceGapError": ("trace", 2), "NonBipartiteGraph": ("trace", 2),
+    "OracleCapExceeded": ("hecke", 2), "InternalConsistencyError": ("tl", 3),
+    "CanonicalRecursionError": ("tl", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(EXIT_CODES))
+def test_exit_code_of_each_error_class(name, monkeypatch, capsys):
+    # the CLI reads the exit code off the class (`exit_code`)
+    import importlib
+
+    import tlcox.tl
+
+    module, code = EXIT_CODES[name]
+    exc_type = getattr(importlib.import_module(f"tlcox.{module}"), name)
+
+    def fail(graph, bound):
+        raise exc_type("rigged")
+
+    monkeypatch.setattr(tlcox.tl, "coeff_tables", fail)
+    message = "'rigged'" if name == "TraceGapError" else "rigged"  # a KeyError quotes
+    prefix = "internal consistency failure" if code == 3 else "error"
+    assert run_cli(capsys, "tables", "--preset", "A2", "--bound", "2") == (
+        code, "", f"{prefix}: {message}\n")
+
+
+def test_other_exceptions_propagate(monkeypatch):
+    import tlcox.tl
+
+    def fail(graph, bound):
+        raise ValueError("rigged")
+
+    monkeypatch.setattr(tlcox.tl, "coeff_tables", fail)
+    with pytest.raises(ValueError, match="rigged"):
+        main(["tables", "--preset", "A2", "--bound", "2"])
 
 
 def test_trace_commands_leave_no_evaluator_behind(tmp_path, capsys, monkeypatch):
@@ -568,37 +655,81 @@ def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, cap
         f"recursion gives {alg.q_star_recursive(y, w).format()}\n")
 
 
-def test_cli_import_loads_no_algebra_module():
+def child_env():
+    """The environment of a child interpreter that imports the same package
+    as this process, installed or not."""
     import tlcox
 
     src = str(Path(tlcox.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_algebra_module():
     script = (
         "import sys, tlcox.cli\n"
-        "print(sorted(m for m in ('tlcox.hecke', 'tlcox.tl', 'tlcox.trace') "
-        "if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tlcox')))\n"
         "import tlcox\n"
         "print([n for n in tlcox.__all__ if getattr(tlcox, n, None) is None])\n")
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[]\n"
+    assert proc.stdout == "['tlcox', 'tlcox.cli']\n[]\n"
+
+
+INVENTORY_SCRIPT = """\
+import contextlib, io, sys
+from tlcox.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("tlcox")))
+"""
+
+TL_MODULES = ("cli", "coxeter", "laurent", "stars", "tl")
+
+# argv -> (exit code, the tlcox modules a fresh interpreter holds after main):
+# the start-up paths, a configuration error, and the benchmark's invocations
+MODULE_INVENTORY = {
+    ("--version",): (0, ("cli",)),
+    ("tables", "--help"): (0, ("cli",)),
+    ("verify", "S", "--preset", "~A2"): (2, ("cli", "coxeter")),
+    ("tables", "--preset", "B4"): (0, TL_MODULES),
+    ("tables", "--preset", "~C3", "--bound", "9"): (0, TL_MODULES),
+    ("tables", "--preset", "D4", "--kl"): (0, (*TL_MODULES, "hecke")),
+    ("verify", "S", "--preset", "D5", "--bound", "10"): (1, ("cli", "coxeter", "stars")),
+    ("verify", "W", "--preset", "D5", "--bound", "9"): (0, TL_MODULES),
+    ("structure", "--preset", "B4", "--bound", "5"): (0, TL_MODULES),
+    ("structure", "--preset", "H3"): (0, TL_MODULES),
+    ("mu", "--preset", "A4", "--methods", "all"): (0, (*TL_MODULES, "hecke", "trace")),
+    ("verify", "B", "--preset", "A4"): (0, (*TL_MODULES, "trace")),
+}
+
+
+@pytest.mark.parametrize("argv", list(MODULE_INVENTORY), ids=" ".join)
+def test_invocation_module_inventory(argv):
+    # a command compiles only the modules it runs: start-up, --help and
+    # usage errors load no engine module, and main picks an exit code
+    # without importing one
+    proc = subprocess.run([sys.executable, "-c", INVENTORY_SCRIPT, *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, modules = MODULE_INVENTORY[argv]
+    want = ["tlcox", *sorted(f"tlcox.{m}" for m in modules)]
+    assert proc.stdout.split() == [str(code), *want]
 
 
 def test_package_import_loads_no_dataclasses_or_inspect():
     # every invocation pays for what the package imports: `dataclasses`
     # alone brings in `inspect`, `ast`, `dis` and `tokenize`
-    import tlcox
-
-    src = str(Path(tlcox.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys, tlcox.cli, tlcox.tl, tlcox.trace, tlcox.hecke\n"
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -640,13 +771,13 @@ def test_memo_inventory(monkeypatch, capsys):
     # trace objects.  None keeps what nothing reads twice: the Bruhat pairs,
     # the right generator action, the alternating products and the diagrams
     # are recomputed
-    import tlcox.cli
+    import tlcox.coxeter
     from tlcox.coxeter import preset as p
     from tlcox.tl import dihedral_cbasis
     from tlcox.trace import BuiltinTrace, TraceEvaluator
 
     g = p("A3")
-    monkeypatch.setattr(tlcox.cli, "preset", lambda name: g)
+    monkeypatch.setattr(tlcox.coxeter, "preset", lambda name: g)
     built = []
     for cls in (TraceEvaluator, BuiltinTrace):
         def spy(self, *args, _original=cls.__init__):
@@ -667,7 +798,7 @@ def test_memo_inventory(monkeypatch, capsys):
     assert inventory == {
         "CoxeterGraph": {"_words", "_elements", "_fc", "_descents", "algebras"},
         "TLAlgebra": {"_bar", "_cmul", "_lgen", "_expand", "_cbasis", "_cbasis_rec",
-                      "_cgen", "_qcol"},
+                      "_cgen", "_qcol", "_qmu"},
         "HeckeAlgebra": {"_bar", "_cmul", "_kl", "_cgen"},
         "TraceEvaluator": {"_tau_t", "_form"},
         "BuiltinTrace": {"_tau_c"},
@@ -686,14 +817,8 @@ def test_trace_evaluation_helper():
 
 
 def test_console_entry_point_runs():
-    # the child imports the same package as this process, installed or not
-    import tlcox
-
-    src = str(Path(tlcox.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tlcox.cli", "--version"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "tlcox" in proc.stdout

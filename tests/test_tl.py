@@ -504,6 +504,46 @@ def test_q_column_matches_pair_recursion(name, bound):
         assert alg.q_column(w) == {x: q for x, q in want.items() if q}, w
 
 
+class ScanRoute(TLAlgebra):
+    """`q_column` as it was before the mu-edges were kept: each term of the
+    mu-sum is found by scanning the whole of column y."""
+
+    def q_column(self, w):
+        cached = self._qcol.get(w)
+        if cached is not None:
+            return cached
+        g = self.graph
+        if not w.word:
+            col = self.unit()
+        else:
+            left = g.left_descents
+            s = min(left(w))
+            col = {}
+            for y, qy in self.q_column(g.lmul(s, w)).items():
+                if s in left(y):
+                    tl_module.acc(col, {y: qy}, LaurentPoly({2: -1}))
+                    continue
+                tl_module.acc(col, {y: qy})
+                if (sy := g.fc_lmul(s, y)) is not None:
+                    tl_module.acc(col, {sy: qy})
+                for x, qx in self.q_column(y).items():
+                    d = y.length - x.length
+                    if d % 2 and s in left(x) and qx.coeff(d - 1):
+                        tl_module.acc(col, {x: qy}, LaurentPoly({d + 1: qx.coeff(d - 1)}))
+        self._qcol[w] = col
+        return col
+
+
+@pytest.mark.parametrize("name,bound", [("B4", 16), ("~C3", 9), ("H4", 12), ("~A2", 10)])
+def test_q_column_matches_the_column_scan(name, bound):
+    # the same entries in the same order: the mu-edges of column y are the
+    # terms the scan finds there
+    g = preset(name)
+    alg, ref = TLAlgebra(g), ScanRoute(g)
+    for w in enumerate_elements(g, bound, fc_only=True):
+        assert list(alg.q_column(w).items()) == list(ref.q_column(w).items()), w
+
+
 def test_string_recurrence_for_m():
     # the four-term identity at string neighbors with distinct descent traces
     for name in ["A3", "B3", "I2(5)", "I2(6)", "I2(7)"]:
