@@ -12,9 +12,9 @@ word problems:
   commutative element iff its heap has no convex chain s, s and no convex
   alternating chain s, t, s, ... of length m(s,t) (Prop. 3.3); the reduced
   words of such an element are then exactly the linear extensions of the
-  heap, so the canonical word is the lex-least one, the descents are the
-  labels of the minimal and maximal elements, and multiplying by a descent
-  drops the first or last occurrence of that letter.
+  heap, so the canonical word is the lex-least one, the left and right
+  descents are the labels of the minimal and maximal elements, and s*w for
+  a left descent s drops the first occurrence of s.
 - Every other element goes through its roots in a reflection representation
   (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4; Casselman,
   Computation in Coxeter groups I, EJC 9, 2002).  With s(a_t) = a_t - a_st a_s
@@ -25,19 +25,23 @@ word problems:
   key, memoized from key to word.  Enumeration of the whole group tests no
   sign: once a level holds every element of its length, the generators s
   that reach a new element x as s*w from that level are its left descents,
-  so x is named by the least of them followed by the word of s*x.  Right
-  descents are the left descents of the inverse.  The Cartan entries are integers for labels 2, 3, 4, 6 and
-  infinity (a_st a_ts = 0, 1, 2, 3 and 4); every other label m has
-  a_st = a_ts = -2cos(pi/m) in Z[c], c = 2cos(pi/M) for M the lcm of those
-  labels, with elements stored as integer vectors modulo the minimal
-  polynomial of c.  The zero test is exact; a float decides a sign only when
-  its error bound excludes zero, and interval bisection on a rational
-  bracket of c decides the rest.
+  so x is named by the least of them followed by the word of s*x.  The
+  Cartan entries are integers for labels 2, 3, 4, 6 and infinity (a_st a_ts
+  = 0, 1, 2, 3 and 4); every other label m has a_st = a_ts = -2cos(pi/m) in
+  Z[c], c = 2cos(pi/M) for M the lcm of those labels, with elements stored
+  as integer vectors modulo the minimal polynomial of c.  The zero test is
+  exact; a float decides a sign only when its error bound excludes zero,
+  and interval bisection on a rational bracket of c decides the rest.
+
+The group acts on the left only, and everything else is read off s*w: the
+inverse of w is r*(wr)^-1 for r the last letter of w, w*s is (s*w^-1)^-1,
+and the right descents of w, when its heap does not give them, are the
+left descents of w^-1.
 
 Generators are 0-based internally and rendered 1-based; the identity renders
 as `e`.  Elements are interned per graph, so they compare and hash like
 values, and each carries a record that its graph fills as the values are
-found: FC flag, descents, key, products by each generator, inverse.
+found: FC flag, descents, key, s*w for each generator s, inverse.
 """
 
 from __future__ import annotations
@@ -330,18 +334,6 @@ class CoxeterGraph:
                 out[b + i:b + nd:d] = [x - a * y for x, y in zip(out[b + i:b + nd:d], col[j::d])]
         return tuple(out)
 
-    def _rmul_roots(self, key: tuple[int, ...], s: int) -> tuple[int, ...]:
-        """The key of w*s from the key of w: (ws)^-1(a_t) = s(w^-1(a_t)), and s
-        changes only the a_s coordinate v_s of a root v, by -sum_u a_su v_u."""
-        d = self._ring.d
-        nd = self.rank * d
-        out = list(key)
-        for u, entries in self._cartan[s]:
-            for i, j, a in entries:
-                at = s * d + i
-                out[at::nd] = [x - a * y for x, y in zip(out[at::nd], key[u * d + j::nd])]
-        return tuple(out)
-
     def _negative(self, key: tuple[int, ...], t: int) -> bool:
         """Whether the root w^-1(a_t) is negative.  The coordinates of a root
         all have one sign, so its first nonzero coordinate decides."""
@@ -528,7 +520,7 @@ class CoxeterGraph:
         """The product s*w (length goes up or down by one)."""
         w = w if w.graph is self else self.element(w.word)
         got = w.lnbr[s]
-        return got if got is not None else self._step(w, s, True)
+        return got if got is not None else self._step(w, s)
 
     def fc_lmul(self, s: int, w: "GroupElement") -> "GroupElement | None":
         """s*w if it is fully commutative, else None (w fully commutative, s not
@@ -540,46 +532,42 @@ class CoxeterGraph:
         return got if got is not None and self.is_fully_commutative(got) else None
 
     def rmul(self, w: "GroupElement", s: int) -> "GroupElement":
-        w = w if w.graph is self else self.element(w.word)
-        got = w.rnbr[s]
-        return got if got is not None else self._step(w, s, False)
+        """The product w*s = (s*w^-1)^-1."""
+        return self.inverse(self.lmul(s, self.inverse(w)))
 
-    def _step(self, w: "GroupElement", s: int, left: bool) -> "GroupElement":
-        """s*w (left) or w*s, recorded on both factors: the heap when w is
-        fully commutative and so is the product, the roots otherwise."""
+    def _step(self, w: "GroupElement", s: int) -> "GroupElement":
+        """s*w, recorded on both factors: the heap when w is fully commutative
+        and so is the product, the roots otherwise."""
         word = w.word
         fc = self.is_fully_commutative(w)
-        if fc and s in (w.ldesc if left else w.rdesc):
-            i = word.index(s) if left else len(word) - 1 - word[::-1].index(s)
+        if fc and s in w.ldesc:
+            i = word.index(s)
             got = self._fc_element(word[:i] + word[i + 1:])
         else:
-            got = self._fc_element((s,) + word if left else word + (s,)) if fc else None
+            got = self._fc_element((s,) + word) if fc else None
             if got is None:
-                key = self._roots(w)
-                got = self._from_roots(self._lmul_roots(s, key) if left
-                                       else self._rmul_roots(key, s))
+                got = self._from_roots(self._lmul_roots(s, self._roots(w)))
                 if len(got.word) > len(word):  # w is a factor: not FC either
                     got.fc = False
-        (w.lnbr if left else w.rnbr)[s] = got
-        (got.lnbr if left else got.rnbr)[s] = w
+        w.lnbr[s], got.lnbr[s] = got, w
         return got
 
     def mul(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
-        out = a
-        for s in b.word:
-            out = self.rmul(out, s)
+        out = b
+        for s in reversed(a.word):
+            out = self.lmul(s, out)
         return out
 
     def inverse(self, w: "GroupElement") -> "GroupElement":
-        """The reversed word when w is fully commutative, else (s*w)^-1 * s
-        for s the first letter of w."""
+        """r * (w r)^-1 for r the last letter of w.  The prefix w r of the
+        canonical word of w is canonical, so it needs no normal form."""
         w = w if w.graph is self else self.element(w.word)
         got = w.inv
         if got is None:
-            if self.is_fully_commutative(w):
-                got = self._fc_element(w.word[::-1])
+            if not w.word:
+                got = w
             else:
-                got = self.rmul(self.inverse(self.lmul(w.word[0], w)), w.word[0])
+                got = self.lmul(w.word[-1], self.inverse(self._intern(w.word[:-1])))
             w.inv, got.inv = got, w
         return got
 
@@ -725,20 +713,20 @@ class GroupElement:
 
     Instances are interned per graph (create them via ``graph.element``), so
     equality checks in hot paths are usually identity checks.  The record
-    (FC flag, left and right descents, key, s*w and w*s for each generator
-    s, inverse) is filled by the element's own graph only, each value when
+    (FC flag, left and right descents, key, s*w for each generator s,
+    inverse) is filled by the element's own graph only, each value when
     first found; descents are set with the FC flag when it is True.
     """
 
     __slots__ = ("graph", "word", "_hash", "roots", "fc", "ldesc", "rdesc",
-                 "lnbr", "rnbr", "inv")
+                 "lnbr", "inv")
 
     def __init__(self, graph: CoxeterGraph, word: tuple[int, ...]):
         self.graph = graph
         self.word = word
         self._hash = hash(word)
         self.roots = self.fc = self.ldesc = self.rdesc = self.inv = None
-        self.lnbr, self.rnbr = [None] * graph.rank, [None] * graph.rank
+        self.lnbr = [None] * graph.rank
 
     @property
     def length(self) -> int:
@@ -860,8 +848,6 @@ def _component_order(graph: CoxeterGraph, nodes: list[int]) -> tuple[int, int] |
     """(order, longest length) of the parabolic on a connected component, or
     None when it is infinite.  Decided against the classification of the
     finite families, so no enumeration happens."""
-    import math as _math
-
     n = len(nodes)
     if n == 1:
         return 2, 1
@@ -895,7 +881,7 @@ def _component_order(graph: CoxeterGraph, nodes: list[int]) -> tuple[int, int] |
             arms.append(length)
         arms.sort()
         if arms[0] == arms[1] == 1:
-            return 2 ** (n - 1) * _math.factorial(n), n * (n - 1)
+            return 2 ** (n - 1) * math.factorial(n), n * (n - 1)
         if arms == [1, 2, 2]:
             return 51840, 36
         if arms == [1, 2, 3]:
@@ -914,10 +900,10 @@ def _component_order(graph: CoxeterGraph, nodes: list[int]) -> tuple[int, int] |
         seq.append(graph.m(cur, nxt[0]))
         prev, cur = cur, nxt[0]
     if all(m == 3 for m in seq):
-        return _math.factorial(n + 1), n * (n + 1) // 2
+        return math.factorial(n + 1), n * (n + 1) // 2
     big = [m for m in seq if m != 3]
     if big == [4] and (seq[0] == 4 or seq[-1] == 4):
-        return 2 ** n * _math.factorial(n), n * n
+        return 2 ** n * math.factorial(n), n * n
     if seq in ([3, 4, 3],):
         return 1152, 24
     if big == [5] and (seq[0] == 5 or seq[-1] == 5):

@@ -344,7 +344,7 @@ class TraceEvaluator:
                 cached = self.tau_t(z)
             else:
                 r = x.word[-1]
-                xr = self.graph.rmul(x, r)
+                xr = self.graph.element(x.word[:-1])
                 cached = lincomb((c, self._form_h(xr, u))
                                  for u, c in self.algebra.lgen(r, z).items())
             self._form[key] = cached

@@ -66,9 +66,11 @@ def test_root_route_matches_closure(name, bound):
             assert g.rmul(w, s).word == ref.rmul(w.word, s), (w, s)
     # random words on a new graph, then down to the identity by left
     # descents, so that elements are met before their left factors; right
-    # descents and inverses first, so that the inverse starts from nothing
+    # descents and inverses first, so that the inverse starts from nothing,
+    # then the right products and products w*x, all read off s*w
     h = build(name)
     rng = random.Random(name)
+    rng_x = random.Random(name + " x")
     shorter = 0
     for _ in range(100):
         word = [rng.randrange(h.rank) for _ in range(rng.randint(0, bound + 2))]
@@ -76,6 +78,10 @@ def test_root_route_matches_closure(name, bound):
         assert w.word == ref.normal_form(word), word
         assert w.right_descents() == ref.right_descents(w.word), w
         assert h.inverse(w).word == ref.normal_form(w.word[::-1]), w
+        for s in h.generators():
+            assert h.rmul(w, s).word == ref.rmul(w.word, s), (w, s)
+        x = normal_form(h, [rng_x.randrange(h.rank) for _ in range(rng_x.randint(0, 3))])
+        assert (w * x).word == ref.normal_form(w.word + x.word), (w, x)
         shorter += len(w.word) < len(word)
         while w.word:
             assert w.is_fully_commutative() == ref.is_fc(w.word), w
