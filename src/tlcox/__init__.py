@@ -9,15 +9,13 @@ _EXPORTS = {
     "coxeter": ("CoxeterGraph", "GroupElement", "bruhat_leq", "classify",
                 "coset_decompose", "enumerate_elements", "normal_form",
                 "parse_element", "parse_graph", "preset"),
-    "hecke": ("HeckeAlgebra", "HeckeElement", "kl_tables"),
+    "hecke": ("HeckeAlgebra", "kl_tables"),
     "laurent": ("DeltaPoly", "LaurentPoly", "parse_poly"),
     "stars": ("bipartite_coloring", "check_property_F", "check_property_S",
               "k_epsilon", "n_stat", "star", "star_reduction_paths"),
-    "tl": ("TLAlgebra", "TLElement", "check_property_W", "coeff_tables",
-           "dihedral_cbasis", "lattice_membership"),
-    "trace": ("PlanarDiagram", "TraceTable", "bilinear_form", "builtin_trace",
-              "load_trace_table", "mu_from_trace", "mu_report", "trace_of",
-              "verify_property_B"),
+    "tl": ("TLAlgebra", "check_property_W", "coeff_tables", "dihedral_cbasis"),
+    "trace": ("PlanarDiagram", "TraceTable", "builtin_trace", "load_trace_table",
+              "mu_from_trace", "mu_report", "verify_property_B"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

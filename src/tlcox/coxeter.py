@@ -755,9 +755,6 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.graph.mul(self, other)
 
-    def inverse(self) -> "GroupElement":
-        return self.graph.inverse(self)
-
     def left_descents(self) -> frozenset[int]:
         return self.graph.left_descents(self)
 

@@ -121,44 +121,7 @@ class HeckeAlgebra(_Algebra):
         return self._product(x, y, self.kl_mul)
 
 
-# -- element wrapper and dumps -----------------------------------------------------------------
-
-
-class HeckeElement:
-    """A full-algebra element in scaled standard coordinates."""
-
-    def __init__(self, graph: CoxeterGraph, coords: Coords):
-        self.graph = graph
-        self.coords = {w: c for w, c in coords.items() if c}
-
-    @classmethod
-    def t_basis(cls, w: GroupElement) -> "HeckeElement":
-        return cls(w.graph, {w: ONE})
-
-    @property
-    def algebra(self) -> HeckeAlgebra:
-        return HeckeAlgebra.for_graph(self.graph)
-
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        return HeckeElement(self.graph, self.algebra.t_mul(self.coords, other.coords))
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.coords)
-        acc(out, other.coords)
-        return HeckeElement(self.graph, out)
-
-    def bar(self) -> "HeckeElement":
-        return HeckeElement(self.graph, self.algebra.bar(self.coords))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.graph == other.graph and self.coords == other.coords
-
-    def render(self) -> str:
-        lines = [f"{c.format()} * T[{format_element(w)}]"
-                 for w, c in sorted(self.coords.items())]
-        return "\n".join(lines)
+# -- dumps -----------------------------------------------------------------------------------
 
 
 def format_q(p: LaurentPoly, shift: int = 0) -> str:

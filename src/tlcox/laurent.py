@@ -190,10 +190,6 @@ class LaurentPoly:
 
     # -- sublattice predicates ----------------------------------------------
 
-    def in_neg(self) -> bool:
-        """Membership in Z[v^-1] (no positive exponents)."""
-        return all(e <= 0 for e in self._c)
-
     def in_vneg(self) -> bool:
         """Membership in v^-1 Z[v^-1] (all exponents strictly negative)."""
         return all(e < 0 for e in self._c)

@@ -13,8 +13,8 @@ relation above after splitting off the commuting prefix.  Everything else is
 built on that kernel: the bar involution (by inverting generators), the
 canonical basis (a triangular bar-solve and a length recursion driven by the
 v^-1 coefficients), the p*/q*/M tables, products in canonical coordinates,
-sublattice membership, and the dihedral canonical basis from the three-term
-second-kind Chebyshev recurrence.
+and the dihedral canonical basis from the three-term second-kind Chebyshev
+recurrence.
 
 Tables, products and traces read the canonical basis through `canonical`:
 the length recursion, which certifies itself (it raises unless every column
@@ -55,10 +55,9 @@ from .coxeter import (
     decompose_fc_prefix,
     enumerate_elements,
     format_element,
-    parse_element,
 )
 from .laurent import (DELTA, ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms,
-                      lincomb, parse_poly)
+                      lincomb)
 from .stars import PropertyReport
 
 Coords = dict[GroupElement, LaurentPoly]
@@ -127,8 +126,8 @@ class _Algebra:
     """What the quotient and the full-group algebra share: one algebra per
     graph object, kept by the graph; the action of the generators on standard
     coordinates, through the subclass's `lgen` (t_s t_w); the bar involution;
-    the length recursion (`_peel`); the change to and from bar-invariant
-    coordinates (`to_c`, `from_c`); and products by one mu-rule (`c_lgen`)."""
+    the length recursion (`_peel`); the change to bar-invariant coordinates
+    (`to_c`); and products by one mu-rule (`c_lgen`)."""
 
     def __init__(self, graph: CoxeterGraph):
         self.graph = graph
@@ -222,12 +221,6 @@ class _Algebra:
             acc(rem, self.canonical(w), -a)
             if w in rem:  # the unit diagonal of c_w clears rem[w]
                 raise InternalConsistencyError(f"c[{format_element(w)}] is not unitriangular")
-        return out
-
-    def from_c(self, ccoords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in ccoords.items():
-            acc(out, self.canonical(w), c)
         return out
 
     def mu(self, y: GroupElement, w: GroupElement) -> int:
@@ -472,9 +465,6 @@ class TLAlgebra(_Algebra):
         """q(x, w), read off column w."""
         return self.q_column(w).get(x, ZERO)
 
-    def q_star_recursive(self, x: GroupElement, w: GroupElement) -> LaurentPoly:
-        return LaurentPoly.v(x.length - w.length) * self.q_poly(x, w)
-
 
 def chebyshev_coeffs(n: int) -> list[int]:
     """Coefficients of the degree-n second-kind Chebyshev polynomial
@@ -517,124 +507,6 @@ def star_involution_coords(graph: CoxeterGraph, coords: Coords) -> Coords:
     return {graph.inverse(w): c for w, c in coords.items()}
 
 
-# -- the element wrapper -------------------------------------------------------------------
-
-
-class TLElement:
-    """An algebra element: finitely supported coefficients on the fully
-    commutative elements, in either the standard ('t') or canonical ('c')
-    basis."""
-
-    def __init__(self, graph: CoxeterGraph, basis: str, coords: Coords):
-        if basis not in ("t", "c"):
-            raise ValueError("basis tag must be 't' or 'c'")
-        for w in coords:
-            if not w.is_fully_commutative():
-                raise ValueError(
-                    f"support must be fully commutative; got {format_element(w)}")
-        self.graph = graph
-        self.basis = basis
-        self.coords = {w: c for w, c in coords.items() if c}
-
-    @classmethod
-    def t_basis(cls, w: GroupElement) -> "TLElement":
-        return cls(w.graph, "t", TLAlgebra.for_graph(w.graph).basis(w))
-
-    @classmethod
-    def c_basis(cls, w: GroupElement) -> "TLElement":
-        return cls(w.graph, "c", TLAlgebra.for_graph(w.graph).basis(w))
-
-    @property
-    def algebra(self) -> TLAlgebra:
-        return TLAlgebra.for_graph(self.graph)
-
-    def to_basis(self, basis: str) -> "TLElement":
-        if basis == self.basis:
-            return self
-        alg = self.algebra
-        if basis == "t":
-            return TLElement(self.graph, "t", alg.from_c(self.coords))
-        return TLElement(self.graph, "c", alg.to_c(self.coords))
-
-    def __add__(self, other: "TLElement") -> "TLElement":
-        other = other.to_basis(self.basis)
-        out = dict(self.coords)
-        acc(out, other.coords)
-        return TLElement(self.graph, self.basis, out)
-
-    def __sub__(self, other: "TLElement") -> "TLElement":
-        other = other.to_basis(self.basis)
-        out = dict(self.coords)
-        acc(out, other.coords, -ONE)
-        return TLElement(self.graph, self.basis, out)
-
-    def scale(self, c: LaurentPoly | int) -> "TLElement":
-        if isinstance(c, int):
-            c = LaurentPoly.const(c)
-        return TLElement(self.graph, self.basis, {w: c * a for w, a in self.coords.items()})
-
-    def __mul__(self, other: "TLElement") -> "TLElement":
-        alg = self.algebra
-        prod = alg.t_mul(self.to_basis("t").coords, other.to_basis("t").coords)
-        if self.basis == "c":
-            return TLElement(self.graph, "c", alg.to_c(prod))
-        return TLElement(self.graph, "t", prod)
-
-    def bar(self) -> "TLElement":
-        alg = self.algebra
-        if self.basis == "c":
-            # canonical basis elements are bar-invariant
-            return TLElement(self.graph, "c", {w: c.bar() for w, c in self.coords.items()})
-        return TLElement(self.graph, "t", alg.bar(self.coords))
-
-    def star(self) -> "TLElement":
-        return TLElement(self.graph, self.basis,
-                         star_involution_coords(self.graph, self.coords))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return (self.graph == other.graph
-                and self.to_basis("t").coords == other.to_basis("t").coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def render(self) -> str:
-        lines = [f"{c.format()} * {self.basis}[{format_element(w)}]"
-                 for w, c in sorted(self.coords.items())]
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"TLElement({self.render() or '0'})"
-
-
-def parse_tl(graph: CoxeterGraph, text: str) -> TLElement:
-    """Inverse of TLElement.render."""
-    coords: Coords = {}
-    basis: str | None = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            coeff_text, label = line.rsplit(" * ", 1)
-        except ValueError:
-            raise ValueError(f"malformed element line: {line!r}") from None
-        tag, rest = label[0], label[1:]
-        if tag not in ("t", "c") or not (rest.startswith("[") and rest.endswith("]")):
-            raise ValueError(f"malformed basis label: {label!r}")
-        if basis is None:
-            basis = tag
-        elif basis != tag:
-            raise ValueError("mixed basis tags in one element")
-        w = parse_element(graph, rest[1:-1])
-        if w in coords:
-            raise ValueError(f"duplicate basis element {label!r}")
-        coords[w] = parse_poly(coeff_text)
-    return TLElement(graph, basis or "t", coords)
-
-
 # -- coefficient tables ------------------------------------------------------------------------
 
 
@@ -653,12 +525,6 @@ class CoeffTables:
 
     def m_coeff(self, x: GroupElement, w: GroupElement) -> int:
         return self.p_columns.get(w, {}).get(x, ZERO).coeff(-1)
-
-    @property
-    def q_star(self) -> dict[tuple[GroupElement, GroupElement], LaurentPoly]:
-        """Every nonzero q*(y, w), keyed by the pair; built on each call."""
-        return {(y, w): LaurentPoly.v(y.length - w.length) * q
-                for w, col in self.q_columns.items() for y, q in col.items()}
 
     def dump_tsv(self) -> str:
         """One row per pair with p* or q* nonzero, column by column, each
@@ -768,35 +634,6 @@ def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
                     f"v^-1 coefficients of p* and q* disagree at "
                     f"({format_element(y)}, {format_element(w)})")
     return CoeffTables(graph, length_bound, fc, p_columns, q_columns)
-
-
-# -- sublattice membership ---------------------------------------------------------------------
-
-
-def lattice_membership(x: TLElement, which: tuple) -> bool:
-    """Membership of x in the negative-coefficient lattice ("L",), or in the
-    variants that allow non-depressed coefficients only at elements with a
-    given left descent ("Ls", s) or a reduced word starting s,t ("Lst", s, t)."""
-    coords = x.to_basis("t").coords
-    g = x.graph
-    kind = which[0]
-    if kind == "L":
-        return all(c.in_neg() for c in coords.values())
-    if kind == "Ls":
-        s = which[1]
-        return all(
-            c.in_neg() if s in g.left_descents(w) else c.in_vneg()
-            for w, c in coords.items())
-    if kind == "Lst":
-        s, t = which[1], which[2]
-
-        def starts_st(w: GroupElement) -> bool:
-            return s in g.left_descents(w) and t in g.left_descents(g.lmul(s, w))
-
-        return all(
-            c.in_neg() if starts_st(w) else c.in_vneg()
-            for w, c in coords.items())
-    raise ValueError(f"unknown lattice {which!r}")
 
 
 # -- the weak-complexity coefficient check -------------------------------------------------------

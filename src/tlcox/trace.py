@@ -24,7 +24,7 @@ from .coxeter import (
 )
 from .laurent import ONE, LaurentPoly, delta_power, lincomb, parse_poly
 from .stars import bipartite_coloring
-from .tl import Coords, TLAlgebra, TLElement, star_involution_coords
+from .tl import Coords, TLAlgebra, star_involution_coords
 
 
 class TraceTableError(ValueError):
@@ -319,11 +319,6 @@ class TraceEvaluator:
     def tau_of_t_coords(self, coords: Coords) -> LaurentPoly:
         return lincomb((c, self.tau_t(w)) for w, c in coords.items())
 
-    def tau(self, x: TLElement) -> LaurentPoly:
-        if x.basis == "c":
-            return lincomb((c, self.tau_c(w)) for w, c in x.coords.items())
-        return self.tau_of_t_coords(x.coords)
-
     def form_tt(self, x: GroupElement, y: GroupElement) -> LaurentPoly:
         """The form on standard basis elements, G(x, y) = trace of t_x t_{y^-1},
         read as H(x, y^-1) (`_form_h`)."""
@@ -354,20 +349,6 @@ class TraceEvaluator:
         """The form on canonical basis elements: trace of c_x c_{y^-1}."""
         prod = self.algebra.c_mul(x, self.graph.inverse(y))
         return lincomb((c, self.tau_c(z)) for z, c in prod.items())
-
-
-def trace_of(x: TLElement, source) -> LaurentPoly:
-    """The trace of an arbitrary algebra element (linear extension of the
-    source's values on the canonical basis)."""
-    return TraceEvaluator(x.graph, source).tau(x)
-
-
-def bilinear_form(x: TLElement, y: TLElement, source) -> LaurentPoly:
-    """trace(x * y-reversed); symmetric, with generator multiplication
-    self-adjoint when the source satisfies the trace property."""
-    ev = TraceEvaluator(x.graph, source)
-    prod = x.algebra.t_mul(x.to_basis("t").coords, y.star().to_basis("t").coords)
-    return ev.tau_of_t_coords(prod)
 
 
 # -- verification ------------------------------------------------------------------

@@ -622,12 +622,13 @@ def test_products_traces_and_tables_never_bar_solve(argv, monkeypatch, capsys):
 
 def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, capsys):
     from tlcox.coxeter import enumerate_elements, format_element, preset as p
-    from tlcox.laurent import ONE, ZERO
+    from tlcox.laurent import ONE, ZERO, LaurentPoly
     from tlcox.tl import TLAlgebra, coeff_tables
 
     g = p("B4")
     fc = list(enumerate_elements(g, 16, fc_only=True))
-    inverted = coeff_tables(g, 16).q_star
+    inverted = {(y, w): LaurentPoly.v(y.length - w.length) * q
+                for w, col in coeff_tables(g, 16).q_columns.items() for y, q in col.items()}
     # two wrong entries in one column, the first and the last below w0
     w0 = fc[len(fc) // 2]
     below = sorted(x for x in TLAlgebra(g).q_column(w0) if x != w0)
@@ -646,13 +647,50 @@ def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, cap
     assert code == 3
     # the witness of the pair-by-pair scan: the first w, then the first y
     alg = TLAlgebra(g)
+
+    def recursive(y, w):
+        return LaurentPoly.v(y.length - w.length) * alg.q_poly(y, w)
+
     y, w = next((y, w) for w in fc for y in fc if y.length <= w.length
-                and alg.q_star_recursive(y, w) != inverted.get((y, w), ZERO))
+                and recursive(y, w) != inverted.get((y, w), ZERO))
     assert (y, w) == (below[0], w0) and len(below) > 1
     assert err == (
         f"internal consistency failure: q*({format_element(y)}, {format_element(w)}): "
         f"matrix inversion gives {inverted.get((y, w), ZERO).format()} but the "
-        f"recursion gives {alg.q_star_recursive(y, w).format()}\n")
+        f"recursion gives {recursive(y, w).format()}\n")
+
+
+def test_tables_name_the_first_pair_where_the_v_inverse_coefficients_disagree(monkeypatch,
+                                                                              capsys):
+    # P Q = I rigged to pass, so the v^-1 agreement is the check that fails:
+    # one q entry is perturbed in each of two columns, and the first column
+    # in FC order names the pair
+    import tlcox.tl
+    from tlcox.coxeter import enumerate_elements, format_element, preset as p
+    from tlcox.laurent import ZERO, LaurentPoly
+    from tlcox.tl import TLAlgebra
+
+    g = p("B4")
+    fc = list(enumerate_elements(g, 16, fc_only=True))
+    alg = TLAlgebra(g)
+    w0, w1 = fc[len(fc) // 2], fc[-1]
+    y0, y1 = (min(y for y in alg.canonical(w) if y != w) for w in (w0, w1))
+    original = TLAlgebra.q_column
+
+    def perturbed(self, w):
+        col = original(self, w)
+        for y, wp in ((y0, w0), (y1, w1)):
+            if w == wp:
+                col = dict(col)
+                col[y] = col.get(y, ZERO) + LaurentPoly.v(w.length - y.length - 1)
+        return col
+
+    monkeypatch.setattr(tlcox.tl, "_first_unreconciled", lambda *args: None)
+    monkeypatch.setattr(TLAlgebra, "q_column", perturbed)
+    code, out, err = run_cli(capsys, "tables", "--preset", "B4")
+    assert code == 3 and out == ""
+    assert err == (f"internal consistency failure: v^-1 coefficients of p* and q* disagree "
+                   f"at ({format_element(y0)}, {format_element(w0)})\n")
 
 
 def child_env():
@@ -806,14 +844,22 @@ def test_memo_inventory(monkeypatch, capsys):
 
 
 def test_trace_evaluation_helper():
-    from tlcox.laurent import LaurentPoly, delta_power
-    from tlcox.tl import TLElement
-    from tlcox.trace import builtin_trace, trace_of
+    from tlcox.laurent import ONE, LaurentPoly, delta_power
+    from tlcox.trace import TraceEvaluator, builtin_trace
     from tlcox.coxeter import preset as p
 
     g = p("A3")
-    assert trace_of(TLElement.t_basis(g.identity), builtin_trace(g)) == \
-        LaurentPoly.v(-4) * delta_power(4)
+    ev = TraceEvaluator(g, builtin_trace(g))
+    assert ev.tau_of_t_coords({g.identity: ONE}) == LaurentPoly.v(-4) * delta_power(4)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    proc = subprocess.run([sys.executable, "-c", block],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
 
 
 def test_console_entry_point_runs():

@@ -6,7 +6,6 @@ from test_roots import build
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.hecke import (
     HeckeAlgebra,
-    HeckeElement,
     OracleCapExceeded,
     format_q,
     kl_tables,
@@ -356,13 +355,12 @@ def test_oracle_cap_is_enforced_before_the_work():
     assert len(alg._kl) <= k + 1
 
 
-def test_hecke_element_wrapper():
+def test_hecke_mul_and_bar():
     a2 = preset("A2")
-    s = HeckeElement.t_basis(a2.element((0,)))
-    sq = s * s
-    assert sq == HeckeElement(a2, {a2.identity: ONE, a2.element((0,)): V_MINUS_VINV})
-    assert s.bar().bar() == s
-    assert s.render() == "1 * T[1]"
+    alg = HeckeAlgebra.for_graph(a2)
+    s = {a2.element((0,)): ONE}
+    assert alg.t_mul(s, s) == {a2.identity: ONE, a2.element((0,)): V_MINUS_VINV}
+    assert alg.bar(alg.bar(s)) == s
 
 
 def test_format_q():

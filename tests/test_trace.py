@@ -5,7 +5,7 @@ import pytest
 
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.laurent import DELTA, ONE, ZERO, LaurentPoly, delta_power
-from tlcox.tl import TLAlgebra, TLElement
+from tlcox.tl import TLAlgebra, star_involution_coords
 from tlcox.trace import (
     BuiltinTrace,
     NonBipartiteGraph,
@@ -14,7 +14,6 @@ from tlcox.trace import (
     TraceGapError,
     TraceTable,
     TraceTableError,
-    bilinear_form,
     builtin_trace,
     is_linear_bond3,
     load_trace_table,
@@ -24,6 +23,12 @@ from tlcox.trace import (
 )
 
 V = LaurentPoly.v
+
+
+def form(ev, a, b):
+    """The bilinear form on standard coordinates: the trace of a times b
+    reversed."""
+    return ev.tau_of_t_coords(ev.algebra.t_mul(a, star_involution_coords(ev.graph, b)))
 
 
 # -- diagrams ---------------------------------------------------------------------
@@ -152,27 +157,27 @@ def test_trace_symmetry_and_star_invariance():
             ab = ev.tau_of_t_coords(alg.t_mul(a, b))
             ba = ev.tau_of_t_coords(alg.t_mul(b, a))
             assert ab == ba
-            x = TLElement(g, "t", dict(a))
-            assert ev.tau(x.star()) == ev.tau(x)
+            assert ev.tau_of_t_coords(star_involution_coords(g, a)) == ev.tau_of_t_coords(a)
 
 
 def test_bilinear_form_examples():
     g = preset("A3")
-    src = builtin_trace(g)
-    x = TLElement.c_basis(g.element((1,)))
-    y = TLElement.c_basis(g.element((1, 0, 2, 1)))
-    assert bilinear_form(x, y, src) == V(-4) * delta_power(3)
-    one = TLElement.t_basis(preset("A2").identity)
-    val = bilinear_form(one, one, builtin_trace(preset("A2")))
+    ev = TraceEvaluator(g, builtin_trace(g))
+    alg = ev.algebra
+    x = alg.canonical(g.element((1,)))
+    y = alg.canonical(g.element((1, 0, 2, 1)))
+    assert form(ev, x, y) == V(-4) * delta_power(3)
+    a2 = preset("A2")
+    one = {a2.identity: ONE}
+    val = form(TraceEvaluator(a2, builtin_trace(a2)), one, one)
     assert (val - ONE).in_vneg()
     # symmetry on random pairs
-    alg = TLAlgebra.for_graph(g)
     els = list(enumerate_elements(g, 4, fc_only=True))
     rng = random.Random(53)
     for _ in range(10):
-        a = TLElement.t_basis(rng.choice(els))
-        b = TLElement.t_basis(rng.choice(els))
-        assert bilinear_form(a, b, src) == bilinear_form(b, a, src)
+        a = alg.basis(rng.choice(els))
+        b = alg.basis(rng.choice(els))
+        assert form(ev, a, b) == form(ev, b, a)
 
 
 def test_three_term_form_identity():
@@ -181,22 +186,16 @@ def test_three_term_form_identity():
     # self-adjointness and the quadratic relation alone)
     g = preset("A3")
     alg = TLAlgebra.for_graph(g)
-    src = builtin_trace(g)
-    ev = TraceEvaluator(g, src)
-
-    def form(a, b):
-        from tlcox.tl import star_involution_coords
-        return ev.tau_of_t_coords(alg.t_mul(a, star_involution_coords(g, b)))
-
+    ev = TraceEvaluator(g, builtin_trace(g))
     els = list(enumerate_elements(g, 3, fc_only=True))
     for x0 in els:
         for y0 in els:
             x, y = alg.basis(x0), alg.basis(y0)
             for s, t in g.noncommuting_pairs():
-                lhs = form(alg.lmul(s, alg.lmul(t, x)), alg.lmul(s, y))
-                rhs = (form(alg.lmul(t, x), alg.lmul(t, alg.lmul(s, y)))
-                       - form(x, alg.lmul(s, y))
-                       + form(alg.lmul(t, x), y))
+                lhs = form(ev, alg.lmul(s, alg.lmul(t, x)), alg.lmul(s, y))
+                rhs = (form(ev, alg.lmul(t, x), alg.lmul(t, alg.lmul(s, y)))
+                       - form(ev, x, alg.lmul(s, y))
+                       + form(ev, alg.lmul(t, x), y))
                 assert lhs == rhs
 
 
@@ -254,9 +253,8 @@ def test_bar_invariant_unit_norm_elements_are_canonical():
         coords = {w: c for w, c in coords.items() if c}
         if not coords:
             continue
-        x = TLElement(g, "t", coords)
-        assert x.bar() == x
-        norm = bilinear_form(x, x, builtin_trace(g))
+        assert alg.bar(coords) == coords
+        norm = form(ev, coords, coords)
         unit = (norm - ONE).in_vneg()
         signed_basis = sorted(abs(n) for n in coeffs.values() if n) == [1]
         assert unit == signed_basis
