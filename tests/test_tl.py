@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from q_pairs import PairRoute
 from test_heaps import HEAP_CASES, build
 from tlcox.coxeter import enumerate_elements, preset
-from tlcox.laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, V_MINUS_VINV, acc, parse_poly
+from tlcox.laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, V_MINUS_VINV, acc
 from tlcox.stars import star
 from tlcox import tl as tl_module
 from tlcox.tl import (

@@ -4,10 +4,9 @@ import random
 import pytest
 
 from tlcox.coxeter import enumerate_elements, preset
-from tlcox.laurent import DELTA, ONE, ZERO, LaurentPoly, delta_power
+from tlcox.laurent import ONE, ZERO, LaurentPoly, delta_power
 from tlcox.tl import TLAlgebra, star_involution_coords
 from tlcox.trace import (
-    BuiltinTrace,
     NonBipartiteGraph,
     PlanarDiagram,
     TraceEvaluator,
