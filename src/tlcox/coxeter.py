@@ -39,9 +39,10 @@ and the right descents of w, when its heap does not give them, are the
 left descents of w^-1.
 
 Generators are 0-based internally and rendered 1-based; the identity renders
-as `e`.  Elements are interned per graph, so they compare and hash like
-values, and each carries a record that its graph fills as the values are
-found: FC flag, descents, key, s*w for each generator s, inverse.
+as `e`.  Elements are interned per graph object, so within one graph object
+equality is identity: elements compare and hash by identity, at C speed.
+Each carries a record that its graph fills as the values are found: FC
+flag, descents, key, s*w for each generator s, inverse.
 """
 
 from __future__ import annotations
@@ -711,20 +712,20 @@ class CoxeterGraph:
 class GroupElement:
     """A group element held as its ShortLex-least reduced word.
 
-    Instances are interned per graph (create them via ``graph.element``), so
-    equality checks in hot paths are usually identity checks.  The record
+    Instances are interned per graph object (create them via
+    ``graph.element``), so they compare and hash by identity: two elements
+    of one graph object are equal exactly when they are the same object, and
+    elements of two graph objects are never equal.  The record
     (FC flag, left and right descents, key, s*w for each generator s,
     inverse) is filled by the element's own graph only, each value when
     first found; descents are set with the FC flag when it is True.
     """
 
-    __slots__ = ("graph", "word", "_hash", "roots", "fc", "ldesc", "rdesc",
-                 "lnbr", "inv")
+    __slots__ = ("graph", "word", "roots", "fc", "ldesc", "rdesc", "lnbr", "inv")
 
     def __init__(self, graph: CoxeterGraph, word: tuple[int, ...]):
         self.graph = graph
         self.word = word
-        self._hash = hash(word)
         self.roots = self.fc = self.ldesc = self.rdesc = self.inv = None
         self.lnbr = [None] * graph.rank
 
@@ -734,15 +735,6 @@ class GroupElement:
 
     def __len__(self) -> int:
         return len(self.word)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, GroupElement) and self.word == other.word
-                and self.graph == other.graph)
 
     def __lt__(self, other: "GroupElement") -> bool:
         return (len(self.word), self.word) < (len(other.word), other.word)

@@ -25,7 +25,7 @@ from .coxeter import (
     format_element,
 )
 from .laurent import ONE, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb
-from .tl import Coords, TLAlgebra, _Algebra
+from .tl import Coords, TLAlgebra, _Algebra, _same_graph
 
 DEFAULT_ELEMENT_CAP = 50_000
 
@@ -59,10 +59,13 @@ class HeckeAlgebra(_Algebra):
     # -- multiplication and the bar-invariant basis ---------------------------------
 
     def basis(self, w: GroupElement) -> Coords:
+        _same_graph(self.graph, w)
         return {w: ONE}
 
     def lgen(self, s: int, w: GroupElement) -> Coords:
         g = self.graph
+        if w.graph is not g:  # per term of every product: test inline
+            _same_graph(g, w)
         sw = g.lmul(s, w)
         if s in g.left_descents(w):
             return {sw: ONE, w: V_MINUS_VINV}
@@ -79,6 +82,7 @@ class HeckeAlgebra(_Algebra):
         the length recursion (`_peel`), memoized under the element cap."""
         cached = self._kl.get(w)
         if cached is None:
+            _same_graph(self.graph, w)
             cached = self._peel(w, self.kl_basis)
             self._keep(self._kl, w, cached)
         return cached
@@ -145,6 +149,7 @@ class KLTables:
         self.columns = columns
 
     def mu_coeff(self, x: GroupElement, w: GroupElement) -> int:
+        _same_graph(self.graph, x, w)
         return self.columns.get(w, {}).get(x, ZERO).coeff(-1)
 
     def mu_tilde(self, x: GroupElement, y: GroupElement) -> int:
@@ -152,6 +157,7 @@ class KLTables:
 
     def polynomial(self, y: GroupElement, w: GroupElement) -> LaurentPoly:
         """P(y, w) = v^(len(w)-len(y)) p*(y, w), a polynomial in q."""
+        _same_graph(self.graph, y, w)
         return LaurentPoly.v(w.length - y.length) * self.columns.get(w, {}).get(y, ZERO)
 
     def dump_tsv(self) -> str:

@@ -14,6 +14,11 @@ repeatedly stripping the leading power of d.
 Every sum of products of polynomials goes through one of two multiply-add
 kernels: `lincomb` (sum of a*b into one polynomial) and `acc` (dst += scale *
 src on coordinate dicts, key -> polynomial).
+
+No code changes a polynomial after it is built: every operation returns a
+new one.  So one object may stand in many places (`acc` stores a `scale` or
+a `src` value itself where the sum is that value), and a polynomial keeps
+its hash once computed.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_hash")  # _hash is set on first use
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         c: dict[int, int] = {}
@@ -161,7 +166,11 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(frozenset(self._c.items()))
+            return h
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -192,7 +201,7 @@ class LaurentPoly:
 
     def in_vneg(self) -> bool:
         """Membership in v^-1 Z[v^-1] (all exponents strictly negative)."""
-        return all(e < 0 for e in self._c)
+        return not self._c or max(self._c) < 0
 
     def neg_part(self) -> LaurentPoly:
         """The terms of strictly negative exponent."""
@@ -343,27 +352,38 @@ def acc(dst: dict, src: Mapping[object, LaurentPoly], scale: LaurentPoly = ONE) 
     """dst += scale * src on coordinate dicts (key -> LaurentPoly), dropping
     zeros and deleting a key whose total cancels; the polynomials it reads
     are never changed.  For a scale other than ONE each dst[w] + scale *
-    src[w] is built in one exponent -> coefficient dict."""
+    src[w] is built in one exponent -> coefficient dict.  Where dst has no
+    entry it may store a value it read itself: src[w] when the scale is ONE,
+    and the scale when src[w] is ONE."""
     if scale is ONE:
         for w, c in src.items():
             val = dst.get(w)
             total = c if val is None else val + c
-            if total:
+            if total._c:
                 dst[w] = total
             elif val is not None:
                 del dst[w]
         return
     terms = scale._c.items()
+    if not terms:
+        return
     for w, c in src.items():
         val = dst.get(w)
-        out = {} if val is None else val._c.copy()
+        if val is None:
+            if c is ONE:
+                dst[w] = scale
+                continue
+            out = {}
+        else:
+            out = val._c.copy()
         get = out.get
         for es, cs in terms:
             for e, x in c._c.items():
                 e += es
-                out[e] = get(e, 0) + cs * x
-        if 0 in out.values():
-            out = {e: x for e, x in out.items() if x}
+                if t := get(e, 0) + cs * x:
+                    out[e] = t
+                else:
+                    del out[e]
         if out:
             dst[w] = LaurentPoly._raw(out)
         elif val is not None:

@@ -22,7 +22,7 @@ comes out unitriangular and depressed, and each is bar-invariant by
 construction), or the bar-solve once the recursion has raised on the
 algebra; `basis` compares the two.  q* comes from the descent recursion for
 q (one column q(., w) at a time from column s w), which never reads the
-canonical basis, and the tables check each column against p* (P Q = I, in
+canonical basis, and the tables check each column against p* (Q P = I, in
 packed integers): the check tests p* rather than restating it.
 
 Products of canonical basis elements stay in canonical coordinates: c_x c_y
@@ -36,7 +36,10 @@ algebra of one graph object, which the graph keeps (`for_graph`), when a
 recursion reads its entries again (the generator action, the canonical
 basis, q* columns, products); what is cheap to recompute, such as the
 alternating products of `dihedral_cbasis`, is not kept.  There is no
-process-global state, and the memos go with the graph.  The full-group
+process-global state, and the memos go with the graph.  Elements compare
+by identity, so an algebra refuses an element of another graph object
+(ValueError) where it takes one from a caller: on entry, or on the memo
+miss that such an element always is.  The full-group
 oracle (`hecke.HeckeAlgebra`) shares this module's engine, `_Algebra`: the
 generator action, the bar involution, the length recursion and products.
 Everything is an immutable value from the caller's point of view.
@@ -58,7 +61,6 @@ from .coxeter import (
 )
 from .laurent import (DELTA, ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms,
                       lincomb)
-from .stars import PropertyReport
 
 Coords = dict[GroupElement, LaurentPoly]
 
@@ -67,6 +69,14 @@ class InternalConsistencyError(RuntimeError):
     """Two routes that must agree exactly did not."""
 
     exit_code = 3
+
+
+def _same_graph(graph: CoxeterGraph, *elements: GroupElement) -> None:
+    """Refuse an element of a graph object other than `graph`: elements
+    compare by identity, so it would match none of graph's."""
+    for w in elements:
+        if w.graph is not graph:
+            raise ValueError(f"element {format_element(w)} belongs to another graph object")
 
 
 class CanonicalRecursionError(RuntimeError):
@@ -173,6 +183,7 @@ class _Algebra:
         """bar(t_w): the product of (t_s - (v - v^-1)) along the word of w."""
         cached = self._bar.get(w)
         if cached is None:
+            _same_graph(self.graph, w)
             if not w.word:
                 cached = self.unit()
             else:
@@ -225,6 +236,7 @@ class _Algebra:
 
     def mu(self, y: GroupElement, w: GroupElement) -> int:
         """mu(y, w): the v^-1 coefficient of c_w at y."""
+        _same_graph(self.graph, y)
         return self.canonical(w).get(y, ZERO).coeff(-1)
 
     def c_lgen(self, s: int, w: GroupElement) -> Coords:
@@ -239,6 +251,7 @@ class _Algebra:
         key = (s, w)
         cached = self._cgen.get(key)
         if cached is None:
+            _same_graph(self.graph, w)
             g = self.graph
             cw = self.canonical(w)
             down = s in g.left_descents(w)
@@ -273,6 +286,7 @@ class _Algebra:
         key = (x, y)
         cached = self._cmul.get(key)
         if cached is None:
+            _same_graph(self.graph, x, y)
             if not x.word:
                 cached = {y: ONE}
             else:
@@ -312,6 +326,7 @@ class TLAlgebra(_Algebra):
         if cached is not None:
             return cached
         g = self.graph
+        _same_graph(g, w)
         if s in g.left_descents(w):
             out = {g.lmul(s, w): ONE, w: V_MINUS_VINV}
         elif (sw := g.fc_lmul(s, w)) is not None:
@@ -332,6 +347,7 @@ class TLAlgebra(_Algebra):
         return out
 
     def basis(self, w: GroupElement) -> Coords:
+        _same_graph(self.graph, w)
         if not w.is_fully_commutative():
             raise ValueError("basis elements are indexed by fully commutative elements")
         return {w: ONE}
@@ -341,6 +357,7 @@ class TLAlgebra(_Algebra):
         not) in the fully commutative basis."""
         cached = self._expand.get(w)
         if cached is None:
+            _same_graph(self.graph, w)
             if not w.word:
                 cached = self.unit()
             else:
@@ -356,6 +373,7 @@ class TLAlgebra(_Algebra):
         coefficients on the standard basis (triangular bar-solve)."""
         cached = self._cbasis.get(w)
         if cached is None:
+            _same_graph(self.graph, w)
             if not w.is_fully_commutative():
                 raise ValueError("canonical basis is indexed by fully commutative elements")
             cached = bar_solve(w, self.bar_basis)
@@ -367,6 +385,7 @@ class TLAlgebra(_Algebra):
         column must come out unitriangular with depressed coefficients."""
         cached = self._cbasis_rec.get(w)
         if cached is None:
+            _same_graph(self.graph, w)
             if not w.is_fully_commutative():
                 raise ValueError("canonical basis is indexed by fully commutative elements")
             cached = self._peel(w, self.cbasis_recursive)
@@ -394,6 +413,7 @@ class TLAlgebra(_Algebra):
 
     def m_coeff(self, y: GroupElement, w: GroupElement) -> int:
         """The v^-1 coefficient of p*(y, w)."""
+        _same_graph(self.graph, y, w)
         if not (y.is_fully_commutative() and w.is_fully_commutative()):
             return 0
         return self.mu(y, w)
@@ -428,6 +448,7 @@ class TLAlgebra(_Algebra):
         if cached is not None:
             return cached
         g = self.graph
+        _same_graph(g, w)
         if not w.word:
             col = self.unit()
         else:
@@ -439,9 +460,8 @@ class TLAlgebra(_Algebra):
                 if s in left(y):
                     acc(col, {y: qy}, minus_v2)
                     continue
-                acc(col, {y: qy})
-                if (sy := g.fc_lmul(s, y)) is not None:
-                    acc(col, {sy: qy})
+                sy = g.fc_lmul(s, y)
+                acc(col, {y: qy} if sy is None else {y: qy, sy: qy})
                 for x, mu in self._mu_edges(y):
                     if s in left(x):
                         acc(col, {x: qy}, mu)
@@ -463,6 +483,7 @@ class TLAlgebra(_Algebra):
 
     def q_poly(self, x: GroupElement, w: GroupElement) -> LaurentPoly:
         """q(x, w), read off column w."""
+        _same_graph(self.graph, x)
         return self.q_column(w).get(x, ZERO)
 
 
@@ -524,6 +545,7 @@ class CoeffTables:
         self.q_columns = q_columns
 
     def m_coeff(self, x: GroupElement, w: GroupElement) -> int:
+        _same_graph(self.graph, x, w)
         return self.p_columns.get(w, {}).get(x, ZERO).coeff(-1)
 
     def dump_tsv(self) -> str:
@@ -556,37 +578,51 @@ def _first_unreconciled(elements: list[GroupElement], p_columns: dict[GroupEleme
                         q_columns: dict[GroupElement, Coords],
                         bits: int | None = None) -> GroupElement | None:
     """The first w of `elements` whose column fails, for some y, the identity
-    sum_z p(y, z) (-1)^(len(z) + len(w)) q(z, w) = [y = w], p(y, z) =
-    v^(len(z) - len(y)) p*(y, z): as P is unitriangular, the column of its
-    inverse alone passes.  None if all pass.  Every polynomial, shifted by
-    one global power of v to nonnegative exponents, is evaluated at X =
-    2^bits (Kronecker substitution).  With N the largest q column and A, B
-    the largest l1-norms of a p* and a q entry, residual coefficients are at
-    most N*A*B + 1 < X by default, so a zero evaluation is a zero residual:
-    the lowest nonzero coefficient would have to be divisible by X."""
+    sum_z (-1)^len(z) p(z, w) q(y, z) = (-1)^len(w) [y = w], p(z, w) =
+    v^(len(w) - len(z)) p*(z, w): Q P = I for Q(y, z) = (-1)^(len(y) +
+    len(z)) q(y, z), which holds exactly when Q is the inverse of the
+    unitriangular P.  Column w reads the q columns of the z in column w of
+    p*, none after w, so the first failing column is the first where q* and
+    the inverse of p* differ.  None if all pass.  Every polynomial, shifted
+    by one global power of v to nonnegative exponents, is evaluated at X =
+    2^bits (Kronecker substitution), each distinct q object once.  With N
+    the largest p* column and A, B the largest l1-norms of a p* and a q
+    entry, residual coefficients are at most N*A*B + 1 < X by default, so a
+    zero evaluation is a zero residual: the lowest nonzero coefficient would
+    have to be divisible by X."""
     # reads `_c` directly: it evaluates polynomials at X, it sums no products
-    qs = [q._c for col in q_columns.values() for q in col.values()]
-    a = max((sum(map(abs, p._c.values())) for col in p_columns.values() for p in col.values()),
-            default=0)
-    op = max((len(y.word) - lz - min(p._c) for z, col in p_columns.items()
-              for lz in (len(z.word),) for y, p in col.items()), default=0)
-    op, oq = max(op, 0), max(-min(map(min, qs), default=0), 0)
+    qs = {id(q): q._c for col in q_columns.values() for q in col.values()}  # distinct q
+    oq = max(0, -min(map(min, qs.values()), default=0))
+    op = max(0, max((max(len(z.word) - min(p._c) for z, p in col.items()) - len(w.word)
+                     for w, col in p_columns.items()), default=0))
     if bits is None:
-        n = max(map(len, q_columns.values()), default=0)
-        bits = (n * a * max((sum(map(abs, c.values())) for c in qs), default=0) + 1).bit_length()
+        ps = {id(p): p._c for col in p_columns.values() for p in col.values()}  # distinct p*
+        n = max(map(len, p_columns.values()), default=0)
+        a = max((sum(map(abs, c.values())) for c in ps.values()), default=0)
+        b = max((sum(map(abs, c.values())) for c in qs.values()), default=0)
+        bits = (n * a * b + 1).bit_length()
+    # each distinct q at X once; column z's rows as positions and values
+    at_x = {key: sum(x << bits * (e + oq) for e, x in c.items()) for key, c in qs.items()}
     pos = {w: i for i, w in enumerate(elements)}
-    packed = {}  # z -> (position of y, (-1)^len(z) p(y, z)) for y in the column
-    for z, col in p_columns.items():
-        lz = len(z.word)
-        packed[z] = [(pos[y], sum((-c if lz % 2 else c) << bits * (e + lz - len(y.word) + op)
-                                  for e, c in p._c.items())) for y, p in col.items()]
+    packed = {z: ([pos[y] for y in col], [at_x[id(q)] for q in col.values()])
+              for z, col in q_columns.items()}
     one = 1 << bits * (op + oq)
     for i, w in enumerate(elements):
+        lw = len(w.word)
         res = [0] * len(elements)
-        res[i] = one if len(w.word) % 2 else -one
-        for z, q in q_columns[w].items():
-            x = sum(c << bits * (e + oq) for e, c in q._c.items())
-            for j, pz in packed[z]:
+        res[i] = one if lw % 2 else -one
+        for z, p in p_columns[w].items():
+            lz = len(z.word)
+            d = lw - lz + op
+            if len(p._c) == 1:  # most entries are monomials
+                (e, x), = p._c.items()
+                pz = x << bits * (e + d)
+            else:
+                pz = sum(x << bits * (e + d) for e, x in p._c.items())
+            if lz % 2:
+                pz = -pz
+            js, xs = packed[z]
+            for j, x in zip(js, xs):
                 res[j] += pz * x
         if any(res):
             return w
@@ -610,10 +646,11 @@ def _inverted_column(w: GroupElement, p_columns: dict[GroupElement, Coords]) -> 
 
 def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
     """Build the tables: p* off the canonical basis (`canonical`), q off the
-    descent recursion (`q_column`), which never reads it.  Each q column must
-    be the column of the inverse of the p*-matrix (`_first_unreconciled`);
-    only a column that fails is inverted, to name the first y where the two
-    q* differ.  The v^-1 coefficients of p* and q* must agree too."""
+    descent recursion (`q_column`), which never reads it.  The q columns must
+    give the inverse of the p*-matrix, checked as Q P = I
+    (`_first_unreconciled`); only a column that fails is inverted, to name
+    the first y where the two q* differ.  The v^-1 coefficients of p* and q*
+    must agree too."""
     alg = TLAlgebra.for_graph(graph)
     fc = list(enumerate_elements(graph, length_bound, fc_only=True))
     p_columns = {w: alg.canonical(w) for w in fc}
@@ -642,6 +679,8 @@ def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
 def check_property_W(graph: CoxeterGraph, length_bound: int) -> PropertyReport:
     """For every weakly complex element x of length <= bound, expand t_x in
     the fully commutative basis and demand strictly negative exponents."""
+    from .stars import PropertyReport
+
     alg = TLAlgebra.for_graph(graph)
     report = PropertyReport("W", graph, length_bound)
     for x in enumerate_elements(graph, length_bound):

@@ -23,7 +23,6 @@ from .coxeter import (
     parse_element,
 )
 from .laurent import ONE, LaurentPoly, delta_power, lincomb, parse_poly
-from .stars import bipartite_coloring
 from .tl import Coords, TLAlgebra, star_involution_coords
 
 
@@ -461,6 +460,8 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
 def mu_from_trace(x: GroupElement, y: GroupElement, source) -> int:
     """The v^-1 coefficient of the form on canonical basis elements; needs a
     2-colorable graph and a homogeneous trace."""
+    from .stars import bipartite_coloring
+
     graph = x.graph
     if bipartite_coloring(graph) is None:
         raise NonBipartiteGraph(
@@ -512,6 +513,8 @@ def mu_report(graph: CoxeterGraph, bound: int, methods: tuple[str, ...],
     oracle = HeckeAlgebra.for_graph(graph) if "oracle" in methods else None
     ev = None
     if "trace" in methods:
+        from .stars import bipartite_coloring
+
         if source is None:
             source = builtin_trace(graph)
         if bipartite_coloring(graph) is None:

@@ -36,8 +36,8 @@ def _passed(n: int, text: str) -> None:
     print(f"[criterion {n:2d}] PASS: {text}")
 
 
-def fc_elements(name: str, bound: int):
-    return list(enumerate_elements(preset(name), bound, fc_only=True))
+def fc_elements(g, bound: int):
+    return list(enumerate_elements(g, bound, fc_only=True))
 
 
 def test_criterion_01_worked_diagram_example():
@@ -65,7 +65,7 @@ def test_criterion_02_m_equals_mu(name, bound):
     g = preset(name)
     tl = TLAlgebra.for_graph(g)
     oracle = HeckeAlgebra.for_graph(g)
-    fc = fc_elements(name, bound)
+    fc = fc_elements(g, bound)
     for w in fc:
         for x in fc:
             assert tl.m_coeff(x, w) == oracle.mu(x, w), (name, x, w)
@@ -90,7 +90,7 @@ def test_criterion_03_three_way_mu_agreement(name, bound):
     ev = TraceEvaluator(g, src)
     tl = TLAlgebra.for_graph(g)
     oracle = HeckeAlgebra.for_graph(g)
-    fc = fc_elements(name, bound)
+    fc = fc_elements(g, bound)
     for i, x in enumerate(fc):
         for y in fc[i:]:
             trace_val = ev.form_cc(x, y).coeff(-1)
@@ -106,7 +106,7 @@ def test_criterion_03_three_way_mu_agreement(name, bound):
 def test_criterion_04_structure_constant_positivity(name, bound):
     g = preset(name)
     tl = TLAlgebra.for_graph(g)
-    fc = fc_elements(name, bound)
+    fc = fc_elements(g, bound)
     checked = 0
     for x in fc:
         for y in fc:

@@ -621,14 +621,19 @@ def test_products_traces_and_tables_never_bar_solve(argv, monkeypatch, capsys):
 
 
 def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, capsys):
+    import tlcox.coxeter
     from tlcox.coxeter import enumerate_elements, format_element, preset as p
     from tlcox.laurent import ONE, ZERO, LaurentPoly
     from tlcox.tl import TLAlgebra, coeff_tables
 
+    # the run uses g itself: elements compare by identity, so w0 and the
+    # entries below it must be elements of the run's graph
     g = p("B4")
+    monkeypatch.setattr(tlcox.coxeter, "preset", lambda name: g)
     fc = list(enumerate_elements(g, 16, fc_only=True))
     inverted = {(y, w): LaurentPoly.v(y.length - w.length) * q
                 for w, col in coeff_tables(g, 16).q_columns.items() for y, q in col.items()}
+    g.algebras.clear()  # the run starts from empty memos
     # two wrong entries in one column, the first and the last below w0
     w0 = fc[len(fc) // 2]
     below = sorted(x for x in TLAlgebra(g).q_column(w0) if x != w0)
@@ -662,15 +667,17 @@ def test_tables_name_the_first_pair_where_the_q_routes_disagree(monkeypatch, cap
 
 def test_tables_name_the_first_pair_where_the_v_inverse_coefficients_disagree(monkeypatch,
                                                                               capsys):
-    # P Q = I rigged to pass, so the v^-1 agreement is the check that fails:
+    # Q P = I rigged to pass, so the v^-1 agreement is the check that fails:
     # one q entry is perturbed in each of two columns, and the first column
     # in FC order names the pair
+    import tlcox.coxeter
     import tlcox.tl
     from tlcox.coxeter import enumerate_elements, format_element, preset as p
     from tlcox.laurent import ZERO, LaurentPoly
     from tlcox.tl import TLAlgebra
 
     g = p("B4")
+    monkeypatch.setattr(tlcox.coxeter, "preset", lambda name: g)  # the run's graph
     fc = list(enumerate_elements(g, 16, fc_only=True))
     alg = TLAlgebra(g)
     w0, w1 = fc[len(fc) // 2], fc[-1]
@@ -727,7 +734,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(code, *sorted(m for m in sys.modules if m.startswith("tlcox")))
 """
 
-TL_MODULES = ("cli", "coxeter", "laurent", "stars", "tl")
+TL_MODULES = ("cli", "coxeter", "laurent", "tl")
 
 # argv -> (exit code, the tlcox modules a fresh interpreter holds after main):
 # the start-up paths, a configuration error, and the benchmark's invocations
@@ -739,10 +746,11 @@ MODULE_INVENTORY = {
     ("tables", "--preset", "~C3", "--bound", "9"): (0, TL_MODULES),
     ("tables", "--preset", "D4", "--kl"): (0, (*TL_MODULES, "hecke")),
     ("verify", "S", "--preset", "D5", "--bound", "10"): (1, ("cli", "coxeter", "stars")),
-    ("verify", "W", "--preset", "D5", "--bound", "9"): (0, TL_MODULES),
+    ("verify", "W", "--preset", "D5", "--bound", "9"): (0, (*TL_MODULES, "stars")),
     ("structure", "--preset", "B4", "--bound", "5"): (0, TL_MODULES),
     ("structure", "--preset", "H3"): (0, TL_MODULES),
-    ("mu", "--preset", "A4", "--methods", "all"): (0, (*TL_MODULES, "hecke", "trace")),
+    ("mu", "--preset", "A4", "--methods", "all"): (0, (*TL_MODULES, "hecke", "stars",
+                                                          "trace")),
     ("verify", "B", "--preset", "A4"): (0, (*TL_MODULES, "trace")),
 }
 
@@ -758,6 +766,35 @@ def test_invocation_module_inventory(argv):
     code, modules = MODULE_INVENTORY[argv]
     want = ["tlcox", *sorted(f"tlcox.{m}" for m in modules)]
     assert proc.stdout.split() == [str(code), *want]
+
+
+# a prefix that allocates a different number of objects in each child, so
+# that the engine's objects land at other addresses
+SHIFTED_MAIN = """\
+import sys
+from tlcox.cli import main
+ballast = [object() for _ in range(int(sys.argv[1]))]
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--preset", "~C3", "--bound", "9"),
+    ("structure", "--preset", "H3"),
+    ("verify", "S", "--preset", "D5", "--bound", "10"),
+], ids=" ".join)
+def test_output_does_not_depend_on_addresses(argv):
+    # elements hash by identity, so a set of them iterates in address order:
+    # the engine sorts every set of elements it iterates, and interpreters
+    # with other hash seeds and other addresses print the same bytes
+    runs = []
+    for seed, ballast in (("1", "0"), ("2", "12345")):
+        env = dict(child_env(), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", SHIFTED_MAIN, ballast, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.stderr == ""
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1] and runs[0][1]
 
 
 def test_package_import_loads_no_dataclasses_or_inspect():

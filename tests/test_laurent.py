@@ -11,6 +11,7 @@ from tlcox.laurent import (
     ZERO,
     DeltaPoly,
     LaurentPoly,
+    acc,
     delta_power,
     lincomb,
     parse_poly,
@@ -176,6 +177,50 @@ def test_delta_format():
     assert DeltaPoly((0, 1)).format() == "d"
     assert DeltaPoly((1, 2)).format() == "2d + 1"
     assert DeltaPoly(()).format() == "0"
+
+
+# -- polynomials are values: shared, never changed, hashed once ---------------------------
+
+
+def test_acc_changes_no_polynomial_it_reads():
+    # with a scale other than ONE, acc leaves the terms and the hash of every
+    # polynomial it reads as they were: scale, source values, and the dst
+    # values it adds to (memos share them)
+    rng = random.Random(31)
+    for trial in range(300):
+        scale = rand_poly(rng) or V_INV
+        src = {k: p for k in range(8) if (p := rand_poly(rng, max_terms=3))}
+        dst = {k: p for k in range(4, 12) if (p := rand_poly(rng, max_terms=3))}
+        if trial % 3 == 0:
+            src[0] = ONE  # the term acc may store as the scale itself
+        read = [scale, *src.values(), *dst.values()]
+        before = [(p, dict(p._c), hash(p)) for p in read]
+        acc(dst, src, scale)
+        for p, terms, h in before:
+            assert p._c == terms and hash(p) == h == hash(LaurentPoly(terms)), trial
+        assert all(dst.values())
+
+
+def test_acc_stores_the_scale_for_a_one_source_on_an_empty_key():
+    scale = LaurentPoly({2: -1})
+    dst = {"kept": V}
+    acc(dst, {"new": ONE, "kept": ONE}, scale)
+    assert dst["new"] is scale
+    assert dst["kept"] == V - V * V and dst["kept"] is not scale
+    # a zero scale adds nothing, and stores no zero
+    acc(dst, {"other": ONE}, ZERO)
+    assert "other" not in dst
+
+
+def test_equal_polynomials_built_apart_compare_and_hash_equal():
+    a = LaurentPoly({2: 1, 0: 2, -2: 1})
+    b = parse_poly("v^2 + 2 + v^-2")
+    c = DELTA * DELTA
+    assert a is not b and a == b == c
+    assert hash(b) == hash(a)  # a hashed after b
+    assert a == b == c and hash(c) == hash(a)
+    assert {a: "x"}[b] == "x" and {c: "y"}[a] == "y"
+    assert hash(ZERO) == hash(LaurentPoly({})) and hash(ONE) == hash(LaurentPoly.const(1))
 
 
 def test_module_doctests():

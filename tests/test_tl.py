@@ -405,6 +405,43 @@ def test_descent_jump_rigidity():
                     assert x == sw and tables.m_coeff(x, w) == 1
 
 
+def pq_first_unreconciled(elements, p_columns, q_columns, bits=None):
+    """The reference for `_first_unreconciled`: the check the tables made
+    before it, as P Q = I.  The first w of `elements` whose column fails,
+    for some y, sum_z p(y, z) (-1)^(len(z) + len(w)) q(z, w) = [y = w],
+    p(y, z) = v^(len(z) - len(y)) p*(y, z); None if all pass.  Every
+    polynomial, shifted by one global power of v to nonnegative exponents,
+    is evaluated at X = 2^bits; with N the largest q column and A, B the
+    largest l1-norms of a p* and a q entry, residual coefficients are at
+    most N*A*B + 1 < X by default."""
+    qs = [q._c for col in q_columns.values() for q in col.values()]
+    a = max((sum(map(abs, p._c.values())) for col in p_columns.values() for p in col.values()),
+            default=0)
+    op = max((len(y.word) - lz - min(p._c) for z, col in p_columns.items()
+              for lz in (len(z.word),) for y, p in col.items()), default=0)
+    op, oq = max(op, 0), max(-min(map(min, qs), default=0), 0)
+    if bits is None:
+        n = max(map(len, q_columns.values()), default=0)
+        bits = (n * a * max((sum(map(abs, c.values())) for c in qs), default=0) + 1).bit_length()
+    pos = {w: i for i, w in enumerate(elements)}
+    packed = {}  # z -> (position of y, (-1)^len(z) p(y, z)) for y in the column
+    for z, col in p_columns.items():
+        lz = len(z.word)
+        packed[z] = [(pos[y], sum((-c if lz % 2 else c) << bits * (e + lz - len(y.word) + op)
+                                  for e, c in p._c.items())) for y, p in col.items()]
+    one = 1 << bits * (op + oq)
+    for i, w in enumerate(elements):
+        res = [0] * len(elements)
+        res[i] = one if len(w.word) % 2 else -one
+        for z, q in q_columns[w].items():
+            x = sum(c << bits * (e + oq) for e, c in q._c.items())
+            for j, pz in packed[z]:
+                res[j] += pz * x
+        if any(res):
+            return w
+    return None
+
+
 def _fresh_columns(name, bound):
     g = build(name)
     alg = TLAlgebra(g)
@@ -416,6 +453,7 @@ def _fresh_columns(name, bound):
 def test_packed_check_and_dict_inversion_agree_with_the_recursion(name, bound):
     fc, p_columns, q_columns = _fresh_columns(name, bound)
     assert _first_unreconciled(fc, p_columns, q_columns) is None
+    assert pq_first_unreconciled(fc, p_columns, q_columns) is None
     for w in fc:
         recur = {x: V(x.length - w.length) * q for x, q in q_columns[w].items()}
         assert _inverted_column(w, p_columns) == recur, w
@@ -439,6 +477,77 @@ def test_packed_check_certificate(j):
     # a perturbation with a negative exponent moves the exponent window
     perturbed[w0][z] = q_columns[w0][z] + LaurentPoly({-2: 1})
     assert _first_unreconciled(fc, p_columns, perturbed) is w0
+
+
+@pytest.mark.parametrize("kind", ["p", "q"])
+@pytest.mark.parametrize("name,bound", [("B4", 200), ("~C3", 7)])
+def test_q_p_and_p_q_name_the_same_column(name, bound, kind):
+    # one entry of one column of p* or of q changed, at the first, a middle
+    # and the last entry: both products first fail at that column, where Q
+    # and the inverse of P first differ
+    fc, p_columns, q_columns = _fresh_columns(name, bound)
+    delta = LaurentPoly({-3: 1, 0: 2})
+    for w0 in (fc[len(fc) // 2], fc[-1]):
+        col = (p_columns if kind == "p" else q_columns)[w0]
+        keys = list(col)
+        for y in (keys[0], keys[len(keys) // 2], keys[-1]):
+            perturbed = dict(p_columns if kind == "p" else q_columns)
+            perturbed[w0] = dict(col)
+            perturbed[w0][y] = col[y] + delta
+            assert perturbed[w0][y]
+            args = (fc, perturbed, q_columns) if kind == "p" else (fc, p_columns, perturbed)
+            assert _first_unreconciled(*args) is pq_first_unreconciled(*args) is w0, (w0, y)
+
+
+def test_algebras_refuse_elements_of_another_graph_object():
+    # elements compare by identity, so an element of an equal graph built
+    # apart matches none of an algebra's: every method that takes one from
+    # the caller refuses it, and the algebra is left as it was
+    from tlcox.hecke import HeckeAlgebra, kl_tables
+
+    g, other = preset("B3"), preset("B3")
+    tl, hk = TLAlgebra.for_graph(g), HeckeAlgebra.for_graph(g)
+    tables, kl = coeff_tables(g, 5), kl_tables(g, 5)
+    x, y = g.element((0, 1)), g.element((1, 0, 1))
+    alien_x, alien_y = other.element(x.word), other.element(y.word)
+
+    def coords(w):
+        return {w: ONE}
+
+    one = {  # methods reading one element, or coordinates on it
+        "lgen": lambda w: tl.lgen(0, w), "basis": tl.basis, "expand": tl.expand,
+        "cbasis": tl.cbasis, "cbasis_recursive": tl.cbasis_recursive,
+        "canonical": tl.canonical, "c_lgen": lambda w: tl.c_lgen(2, w),
+        "bar_basis": tl.bar_basis, "q_column": tl.q_column,
+        "lmul": lambda w: tl.lmul(2, coords(w)), "bar": lambda w: tl.bar(coords(w)),
+        "to_c": lambda w: tl.to_c(coords(w)), "t_mul": lambda w: tl.t_mul(coords(x), coords(w)),
+        "hecke lgen": lambda w: hk.lgen(0, w), "hecke basis": hk.basis,
+        "hecke bar_basis": hk.bar_basis, "kl_basis": hk.kl_basis,
+        "hecke canonical": hk.canonical, "hecke c_lgen": lambda w: hk.c_lgen(2, w),
+        "theta_basis": hk.theta_basis, "theta": lambda w: hk.theta(coords(w)),
+        "in_defining_ideal": lambda w: hk.in_defining_ideal(coords(w)),
+    }
+    two = {  # methods reading two elements
+        "mu": tl.mu, "m_coeff": tl.m_coeff, "m_tilde": tl.m_tilde, "c_mul": tl.c_mul,
+        "q_poly": tl.q_poly, "hecke mu": hk.mu, "mu_tilde": hk.mu_tilde, "kl_mul": hk.kl_mul,
+        "tables m_coeff": tables.m_coeff, "kl mu_coeff": kl.mu_coeff,
+        "kl mu_tilde": kl.mu_tilde, "kl polynomial": kl.polynomial,
+    }
+    calls = [(name, call, (alien_y,)) for name, call in one.items()]
+    calls += [(name, call, args) for name, call in two.items()
+              for args in ((alien_x, y), (x, alien_y))]
+    for name, call, args in calls:
+        with pytest.raises(ValueError, match="another graph object"):
+            call(*args)
+    fc = list(enumerate_elements(g, 7, fc_only=True))
+    fresh, oracle = TLAlgebra(g), HeckeAlgebra(g)
+    for w in fc:
+        assert tl.canonical(w) == fresh.cbasis(w) == fresh.cbasis_recursive(w)
+        assert tl.q_column(w) == fresh.q_column(w)
+    for w in enumerate_elements(g, 5):
+        assert hk.kl_basis(w) == oracle.kl_basis(w)
+    assert coeff_tables(g, 7).p_columns == {w: fresh.canonical(w) for w in fc}
+    assert not tl._recursion_failed
 
 
 def test_an_algebra_belongs_to_the_graph_object_it_was_built_for():
