@@ -64,8 +64,7 @@ class HeckeAlgebra(_Algebra):
 
     def lgen(self, s: int, w: GroupElement) -> Coords:
         g = self.graph
-        if w.graph is not g:  # per term of every product: test inline
-            _same_graph(g, w)
+        _same_graph(g, w)
         sw = g.lmul(s, w)
         if s in g.left_descents(w):
             return {sw: ONE, w: V_MINUS_VINV}
@@ -96,6 +95,7 @@ class HeckeAlgebra(_Algebra):
 
     def form(self, a: Coords, b: Coords) -> LaurentPoly:
         """The symmetric form making the scaled standard basis orthonormal."""
+        _same_graph(self.graph, *a, *b)
         if len(b) < len(a):
             a, b = b, a
         return lincomb((c, b[w]) for w, c in a.items() if w in b)

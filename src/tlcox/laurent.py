@@ -201,7 +201,7 @@ class LaurentPoly:
 
     def in_vneg(self) -> bool:
         """Membership in v^-1 Z[v^-1] (all exponents strictly negative)."""
-        return not self._c or max(self._c) < 0
+        return all(e < 0 for e in self._c)
 
     def neg_part(self) -> LaurentPoly:
         """The terms of strictly negative exponent."""

@@ -416,7 +416,7 @@ class TLAlgebra(_Algebra):
         _same_graph(self.graph, y, w)
         if not (y.is_fully_commutative() and w.is_fully_commutative()):
             return 0
-        return self.mu(y, w)
+        return self.canonical(w).get(y, ZERO).coeff(-1)
 
     def m_tilde(self, x: GroupElement, y: GroupElement) -> int:
         return self.m_coeff(x, y) if x.length <= y.length else self.m_coeff(y, x)
@@ -460,8 +460,9 @@ class TLAlgebra(_Algebra):
                 if s in left(y):
                     acc(col, {y: qy}, minus_v2)
                     continue
-                sy = g.fc_lmul(s, y)
-                acc(col, {y: qy} if sy is None else {y: qy, sy: qy})
+                acc(col, {y: qy})
+                if (sy := g.fc_lmul(s, y)) is not None:
+                    acc(col, {sy: qy})
                 for x, mu in self._mu_edges(y):
                     if s in left(x):
                         acc(col, {x: qy}, mu)
@@ -614,11 +615,7 @@ def _first_unreconciled(elements: list[GroupElement], p_columns: dict[GroupEleme
         for z, p in p_columns[w].items():
             lz = len(z.word)
             d = lw - lz + op
-            if len(p._c) == 1:  # most entries are monomials
-                (e, x), = p._c.items()
-                pz = x << bits * (e + d)
-            else:
-                pz = sum(x << bits * (e + d) for e, x in p._c.items())
+            pz = sum(x << bits * (e + d) for e, x in p._c.items())
             if lz % 2:
                 pz = -pz
             js, xs = packed[z]

@@ -532,10 +532,14 @@ def test_algebras_refuse_elements_of_another_graph_object():
         "q_poly": tl.q_poly, "hecke mu": hk.mu, "mu_tilde": hk.mu_tilde, "kl_mul": hk.kl_mul,
         "tables m_coeff": tables.m_coeff, "kl mu_coeff": kl.mu_coeff,
         "kl mu_tilde": kl.mu_tilde, "kl polynomial": kl.polynomial,
+        "form": lambda a, b: hk.form(coords(a), coords(b)),
     }
     calls = [(name, call, (alien_y,)) for name, call in one.items()]
     calls += [(name, call, args) for name, call in two.items()
               for args in ((alien_x, y), (x, alien_y))]
+    # m_coeff is 0 off the fully commutative elements, but still refuses
+    alien_nfc = next(w for w in enumerate_elements(other, 6) if not w.is_fully_commutative())
+    calls += [("m_coeff", tl.m_coeff, (alien_nfc, y)), ("m_coeff", tl.m_coeff, (y, alien_nfc))]
     for name, call, args in calls:
         with pytest.raises(ValueError, match="another graph object"):
             call(*args)
