@@ -83,15 +83,10 @@ def _emit(args, text: str) -> None:
 
 
 def _trace_source(args, graph):
-    from .trace import builtin_trace, is_linear_bond3, load_trace_table
+    """The --trace table, else the built-in trace (each checks itself)."""
+    from .trace import builtin_trace, load_trace_table
     if args.trace:
-        table = load_trace_table(graph, Path(args.trace).read_text(),
-                                 label=Path(args.trace).name)
-        return table.homogenized() if not table.is_homogeneous() else table
-    if not is_linear_bond3(graph):
-        raise ConfigError(
-            "the built-in trace covers consecutively numbered simply laced "
-            "path graphs only; supply --trace FILE for this graph")
+        return load_trace_table(graph, Path(args.trace).read_text(), label=Path(args.trace).name)
     return builtin_trace(graph)
 
 

@@ -733,9 +733,6 @@ class GroupElement:
     def length(self) -> int:
         return len(self.word)
 
-    def __len__(self) -> int:
-        return len(self.word)
-
     def __lt__(self, other: "GroupElement") -> bool:
         return (len(self.word), self.word) < (len(other.word), other.word)
 
@@ -1071,18 +1068,21 @@ def parse_graph(text: str) -> CoxeterGraph:
     for (i, j) in edges:
         if not (1 <= i <= rank and 1 <= j <= rank):
             raise GraphError(f"edge {i} {j} out of range for rank {rank}")
-    bonds = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
-    for (i, j), m in edges.items():
-        bonds[i - 1][j - 1] = bonds[j - 1][i - 1] = m
-    return CoxeterGraph(bonds)
+    return _graph(rank, [(i - 1, j - 1, m) for (i, j), m in edges.items()])
 
 
-def _path(labels: Sequence[int | float]) -> list[list[int | float]]:
-    n = len(labels) + 1
+def _graph(n: int, edges: Iterable[tuple[int, int, int | float]],
+           name: str | None = None) -> CoxeterGraph:
+    """The graph of rank n with label m on each edge (i, j, m), 0-based, and
+    2 elsewhere."""
     bonds: list[list[int | float]] = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    for i, m in enumerate(labels):
-        bonds[i][i + 1] = bonds[i + 1][i] = m
-    return bonds
+    for i, j, m in edges:
+        bonds[i][j] = bonds[j][i] = m
+    return CoxeterGraph(bonds, name=name)
+
+
+def _path(labels: Sequence[int | float], name: str) -> CoxeterGraph:
+    return _graph(len(labels) + 1, [(i, i + 1, m) for i, m in enumerate(labels)], name)
 
 
 _PRESET_RE = re.compile(r"^(?P<aff>~)?(?P<fam>[A-H])(?P<n>\d+)$")
@@ -1101,7 +1101,7 @@ def preset(name: str) -> CoxeterGraph:
         m: int | float = INFINITE if m2.group("m") == "inf" else int(m2.group("m"))
         if m != INFINITE and m < 3:
             raise GraphError("I2(m) requires m >= 3 or inf")
-        return CoxeterGraph(_path([m]), name=name)
+        return _path([m], name)
     mo = _PRESET_RE.match(name)
     if not mo:
         raise GraphError(f"unknown preset {name!r}")
@@ -1109,49 +1109,40 @@ def preset(name: str) -> CoxeterGraph:
     if affine:
         if fam == "A":
             if n == 1:
-                return CoxeterGraph(_path([INFINITE]), name=name)
+                return _path([INFINITE], name)
             if n < 2:
                 raise GraphError("~A requires n >= 1")
-            k = n + 1
-            bonds: list[list[int | float]] = [[1 if i == j else 2 for j in range(k)] for i in range(k)]
-            for i in range(k):
-                j = (i + 1) % k
-                bonds[i][j] = bonds[j][i] = 3
-            return CoxeterGraph(bonds, name=name)
+            return _graph(n + 1, [(i, (i + 1) % (n + 1), 3) for i in range(n + 1)], name)
         if fam == "C":
             if n < 2:
                 raise GraphError("~C requires n >= 2")
-            return CoxeterGraph(_path([4] + [3] * (n - 2) + [4]), name=name)
+            return _path([4] + [3] * (n - 2) + [4], name)
         raise GraphError(f"unknown affine preset {name!r}")
     if fam == "A":
         if n < 1:
             raise GraphError("A requires n >= 1")
-        return CoxeterGraph(_path([3] * (n - 1)), name=name)
+        return _path([3] * (n - 1), name)
     if fam in ("B", "C"):
         if n < 2:
             raise GraphError("B requires n >= 2")
-        return CoxeterGraph(_path([4] + [3] * (n - 2)), name=name)
+        return _path([4] + [3] * (n - 2), name)
     if fam == "D":
         if n < 4:
             raise GraphError("D requires n >= 4")
         # generator 2 is the branch node (so the rank-4 witness text is stable)
-        bonds = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-        for a, b in [(0, 1), (2, 1), (3, 1)] + [(i, i + 1) for i in range(3, n - 1)]:
-            bonds[a][b] = bonds[b][a] = 3
-        return CoxeterGraph(bonds, name=name)
+        return _graph(n, [(a, b, 3) for a, b in [(0, 1), (2, 1), (3, 1)]
+                          + [(i, i + 1) for i in range(3, n - 1)]], name)
     if fam == "E":
         if n < 6:
             raise GraphError("E requires n >= 6")
-        bonds = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-        for a, b in [(0, 2), (2, 3), (1, 3)] + [(i, i + 1) for i in range(3, n - 1)]:
-            bonds[a][b] = bonds[b][a] = 3
-        return CoxeterGraph(bonds, name=name)
+        return _graph(n, [(a, b, 3) for a, b in [(0, 2), (2, 3), (1, 3)]
+                          + [(i, i + 1) for i in range(3, n - 1)]], name)
     if fam == "F":
         if n != 4:
             raise GraphError("only F4 is provided")
-        return CoxeterGraph(_path([3, 4, 3]), name=name)
+        return _path([3, 4, 3], name)
     if fam == "H":
         if n < 3:
             raise GraphError("H requires n >= 3")
-        return CoxeterGraph(_path([5] + [3] * (n - 2)), name=name)
+        return _path([5] + [3] * (n - 2), name)
     raise GraphError(f"unknown preset {name!r}")

@@ -119,9 +119,6 @@ class LaurentPoly:
                 del out[e]
         return LaurentPoly._raw(out)
 
-    def __rsub__(self, other: int) -> LaurentPoly:
-        return LaurentPoly.const(other) - self
-
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             if other == 0:
@@ -305,12 +302,7 @@ def parse_terms(text: str) -> list[tuple[int, int]]:
             coeff = int(coeff_text)
         else:
             exp = int(m.group("exp")) if m.group("exp") is not None else 1
-            if coeff_text is None:
-                coeff = 1
-            elif coeff_text == "-":
-                coeff = -1
-            else:
-                coeff = int(coeff_text)
+            coeff = 1 if coeff_text is None else int(coeff_text)
         out.append((exp, coeff))
     return out
 

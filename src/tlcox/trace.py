@@ -3,6 +3,10 @@ bond-3 path graphs, user-supplied trace tables for everything else, the
 bilinear form they induce, its verification report, and the nonrecursive
 extraction of the top-degree coefficients from the v^-1 term of the form.
 
+Every trace source is valid when built (see `TraceTable` and `BuiltinTrace`),
+so no consumer checks one again; `_require_2_colorable` is the one check of
+the graph that the v^-1 extraction adds.
+
 A diagram on k strands is a crossingless perfect matching of k north and k
 south boundary points plus a count of closed loops absorbed so far.
 Stacking two diagrams traces every path through the glued middle boundary
@@ -23,11 +27,12 @@ from .coxeter import (
     parse_element,
 )
 from .laurent import ONE, LaurentPoly, delta_power, lincomb, parse_poly
-from .tl import Coords, TLAlgebra, star_involution_coords
+from .tl import Coords, TLAlgebra, _same_graph, star_involution_coords
 
 
 class TraceTableError(ValueError):
-    """Malformed trace table text or unusable table."""
+    """A trace source that cannot be built: malformed table text, or a graph
+    outside the built-in trace's path family."""
 
     exit_code = 2
 
@@ -190,15 +195,15 @@ def is_linear_bond3(graph: CoxeterGraph) -> bool:
 
 
 class BuiltinTrace:
-    """The diagram trace on a linear bond-3 path graph of rank n: the value on
-    a canonical basis element is v^-(n+1) times the loop element raised to the
-    closure loop count of its diagram."""
+    """The diagram trace on a linear bond-3 path graph of rank n (any other
+    graph is refused): the value on a canonical basis element is v^-(n+1)
+    times the loop element raised to the closure loop count of its diagram."""
 
     def __init__(self, graph: CoxeterGraph):
         if not is_linear_bond3(graph):
-            raise ValueError(
-                "the built-in diagram trace needs a consecutively numbered "
-                "simply laced path graph")
+            raise TraceTableError(
+                "the built-in trace covers consecutively numbered simply laced "
+                "path graphs only; supply --trace FILE for this graph")
         self.graph = graph
         self.strands = graph.rank + 1
         self._tau_c: dict[GroupElement, LaurentPoly] = {}
@@ -227,10 +232,16 @@ class BuiltinTrace:
 
 
 class TraceTable:
-    """User-supplied trace values on canonical basis elements."""
+    """User-supplied trace values on canonical basis elements, homogeneous by
+    construction: each value is projected to the length parity of its element
+    (the q-compatible repair), and when that changes a value the label gets
+    `+homogenized`."""
 
     def __init__(self, graph: CoxeterGraph, values: dict[GroupElement, LaurentPoly],
                  label: str = "table"):
+        if not all(c.has_parity(w.length) for w, c in values.items()):
+            values = {w: c.homogenize(w.length) for w, c in values.items()}
+            label += "+homogenized"
         self.graph = graph
         self.values = values
         self.label = label
@@ -239,23 +250,12 @@ class TraceTable:
         return self.label
 
     def tau_c(self, w: GroupElement) -> LaurentPoly:
-        try:
-            return self.values[w]
-        except KeyError:
-            raise TraceGapError(
-                f"trace table has no value at {format_element(w)}") from None
-
-    def homogenized(self) -> "TraceTable":
-        """Project every value to the length parity of its element (the
-        q-compatible repair); returns a new table."""
-        return TraceTable(
-            self.graph,
-            {w: c.homogenize(w.length) for w, c in self.values.items()},
-            label=self.label + "+homogenized",
-        )
-
-    def is_homogeneous(self) -> bool:
-        return all(c.has_parity(w.length) for w, c in self.values.items())
+        value = self.values.get(w)
+        if value is None:
+            # an element of another graph object matches no key, even an equal one
+            _same_graph(self.graph, w)
+            raise TraceGapError(f"trace table has no value at {format_element(w)}")
+        return value
 
 
 def load_trace_table(graph: CoxeterGraph, text: str, label: str = "table") -> TraceTable:
@@ -386,10 +386,6 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
     trace(t_s t_u) = trace(t_u t_s) on every u of length <= 2 * bound; only
     when that fails are the pairs scanned, to name the first failing pair as
     the witness.  Almost-orthonormality reads the form on every pair."""
-    projected = False
-    if isinstance(source, TraceTable) and not source.is_homogeneous():
-        source = source.homogenized()
-        projected = True
     ev = TraceEvaluator(graph, source)
     alg = ev.algebra
     form = ev.form_tt
@@ -440,8 +436,7 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
     report.lines.append(f"almost-orthonormality: {'FAIL' if ortho_witness else 'PASS'}")
 
     homog_ok = all(ev.tau_c(w).has_parity(w.length) for w in fc)
-    suffix = " (projection applied)" if projected else ""
-    report.lines.append(f"homogeneity: {'PASS' if homog_ok else 'FAIL'}{suffix}")
+    report.lines.append(f"homogeneity: {'PASS' if homog_ok else 'FAIL'}")
 
     positive_ok = all(ev.tau_c(w).has_nonneg_coeffs() for w in fc)
     report.lines.append(f"positivity: {'PASS' if positive_ok else 'FAIL'}")
@@ -457,21 +452,22 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
 # -- the nonrecursive coefficient extraction ---------------------------------------------
 
 
-def mu_from_trace(x: GroupElement, y: GroupElement, source) -> int:
-    """The v^-1 coefficient of the form on canonical basis elements; needs a
-    2-colorable graph and a homogeneous trace."""
+def _require_2_colorable(graph: CoxeterGraph) -> None:
+    """Refuse a graph without a 2-coloring, which the v^-1 extraction needs."""
     from .stars import bipartite_coloring
 
-    graph = x.graph
     if bipartite_coloring(graph) is None:
-        raise NonBipartiteGraph(
-            "the v^-1 extraction is only valid over 2-colorable graphs")
+        raise NonBipartiteGraph("the v^-1 extraction is only valid over 2-colorable graphs")
+
+
+def mu_from_trace(x: GroupElement, y: GroupElement, source) -> int:
+    """The v^-1 coefficient of the form on canonical basis elements; needs a
+    2-colorable graph."""
+    graph = x.graph
+    _require_2_colorable(graph)
     if not (x.is_fully_commutative() and y.is_fully_commutative()):
         raise ValueError("both elements must be fully commutative")
-    if isinstance(source, TraceTable) and not source.is_homogeneous():
-        raise TraceTableError("trace table is not homogeneous; apply homogenized()")
-    ev = TraceEvaluator(graph, source)
-    return ev.form_cc(x, y).coeff(-1)
+    return TraceEvaluator(graph, source).form_cc(x, y).coeff(-1)
 
 
 class MuReport:
@@ -513,13 +509,9 @@ def mu_report(graph: CoxeterGraph, bound: int, methods: tuple[str, ...],
     oracle = HeckeAlgebra.for_graph(graph) if "oracle" in methods else None
     ev = None
     if "trace" in methods:
-        from .stars import bipartite_coloring
-
         if source is None:
             source = builtin_trace(graph)
-        if bipartite_coloring(graph) is None:
-            raise NonBipartiteGraph(
-                "the v^-1 extraction is only valid over 2-colorable graphs")
+        _require_2_colorable(graph)
         ev = TraceEvaluator(graph, source)
     rows = []
     for i, x in enumerate(fc):

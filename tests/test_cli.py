@@ -890,13 +890,36 @@ def test_trace_evaluation_helper():
     assert ev.tau_of_t_coords({g.identity: ONE}) == LaurentPoly.v(-4) * delta_power(4)
 
 
+def readme_block(readme: str, heading: str, fence: str) -> str:
+    """The first code block opened by `fence` after `heading` in README.md."""
+    return readme.split(heading, 1)[1].split(fence, 1)[1].split("```")[0]
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    block = readme_block(readme, "## Library example", "```python\n")
     proc = subprocess.run([sys.executable, "-c", block],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_readme_command_and_trace_table_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line.split("#", 1)[0].split()
+                for line in readme_block(readme, "## Command line", "```sh\n").splitlines()]
+    assert len(commands) == 10 and all(argv[0] == "tlcox" for argv in commands)
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv[1:])
+        if argv[1:3] == ["verify", "S"]:
+            assert (code, out.rstrip("\n").splitlines()[-1]) == (1, "witness=1 3 2 4 2 1 3")
+        else:
+            assert code == 0, (argv, err)
+    table = tmp_path / "readme.txt"
+    table.write_text(readme_block(readme, "### Trace tables", "```\n"))
+    code, out, _ = run_cli(capsys, "verify", "B", "--preset", "A2", "--trace", str(table))
+    assert code == 0 and out.endswith("HOLDS\n")
+    assert out.splitlines()[0].endswith(" trace=readme.txt")  # nothing projected
 
 
 def test_console_entry_point_runs():

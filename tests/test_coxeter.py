@@ -93,6 +93,20 @@ def test_preset_shapes():
     assert [c2.m(0, 1), c2.m(1, 2)] == [4, 4]
     assert preset("~A1").m(0, 1) == INFINITE
     assert preset("I2(7)").m(0, 1) == 7
+    d6 = preset("D6")
+    assert sorted(d6.noncommuting_pairs()) == [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)]
+    e8 = preset("E8")
+    assert sorted(e8.noncommuting_pairs()) == [
+        (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+    b5 = preset("B5")
+    assert [b5.m(i, i + 1) for i in range(4)] == [4, 3, 3, 3]
+    assert len(b5.noncommuting_pairs()) == 4
+    a4 = preset("~A4")
+    assert sorted(a4.noncommuting_pairs()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert all(a4.m(i, j) == 3 for i, j in a4.noncommuting_pairs())
+    c4 = preset("~C4")
+    assert [c4.m(i, i + 1) for i in range(4)] == [4, 3, 3, 4]
+    assert len(c4.noncommuting_pairs()) == 4
 
 
 # -- normal forms -----------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_builtin_trace_requires_path_graph():
     assert is_linear_bond3(preset("A3"))
     assert not is_linear_bond3(preset("B3"))
     assert not is_linear_bond3(preset("D4"))
-    with pytest.raises(ValueError):
+    with pytest.raises(TraceTableError, match="supply --trace FILE"):
         builtin_trace(preset("B3"))
 
 
@@ -298,9 +298,11 @@ def test_verify_property_b_corrupted_table():
 
 def test_trace_table_round_trip_and_errors():
     g = preset("A2")
-    text = "e : v^-3 + 3v^-1\n1 : v^-2\n# comment\n1 2 : 1\n"
-    table = load_trace_table(g, text)
-    assert table.tau_c(g.identity) == LaurentPoly({-3: 1, -1: 3})
+    text = "e : v^-4 + 3v^-2\n1 : v^-3\n# comment\n1 2 : 1\n"
+    table = load_trace_table(g, text, label="t.txt")
+    assert table.describe() == "t.txt"  # homogeneous: nothing projected
+    assert table.tau_c(g.identity) == LaurentPoly({-4: 1, -2: 3})
+    assert table.tau_c(g.element((0,))) == V(-3)
     assert table.tau_c(g.element((0, 1))) == ONE
     with pytest.raises(TraceGapError):
         table.tau_c(g.element((1, 0)))
@@ -314,14 +316,43 @@ def test_trace_table_round_trip_and_errors():
 
 def test_trace_table_homogenization():
     g = preset("A2")
-    # the value at w keeps only the exponents of the parity of len(w)
+    # the constructor keeps, at each w, only the exponents of the parity of
+    # len(w), and the label says when that changed a value
     values = {g.identity: delta_power(2) + V(1), g.element((0,)): V(-2) + V(-1)}
-    table = TraceTable(g, values)
-    assert not table.is_homogeneous()
-    fixed = table.homogenized()
-    assert fixed.is_homogeneous()
-    assert fixed.tau_c(g.identity) == delta_power(2)
-    assert fixed.tau_c(g.element((0,))) == V(-1)
+    table = TraceTable(g, values, label="t")
+    assert table.describe() == "t+homogenized"
+    assert table.tau_c(g.identity) == delta_power(2)
+    assert table.tau_c(g.element((0,))) == V(-1)
+    assert values[g.identity] == delta_power(2) + V(1)  # the caller's dict is left alone
+    kept = TraceTable(g, {g.identity: delta_power(2), g.element((0,)): V(-1)}, label="t")
+    assert kept.describe() == "t"
+    # every consumer reads the projected values: mu_from_trace no longer
+    # refuses a table that was not homogeneous as written
+    tr = builtin_trace(g)
+    exact = {w: tr.tau_c(w) for w in enumerate_elements(g, 3, fc_only=True)}
+    skewed = dict(exact)
+    skewed[g.identity] = exact[g.identity] + V(-1)
+    x, y = g.identity, g.element((0,))
+    assert mu_from_trace(x, y, TraceTable(g, skewed)) == mu_from_trace(x, y, tr) == 1
+
+
+def test_trace_table_refuses_elements_of_another_graph_object():
+    # an equal graph built apart has its own elements, which match no key of
+    # the table: the algebras' refusal, not a gap the table does not have
+    g1, g2 = preset("A2"), preset("A2")
+    tr = builtin_trace(g1)
+    text = "\n".join(f"{w.format()} : {tr.tau_c(w).format()}"
+                     for w in enumerate_elements(g1, 4, fc_only=True))
+    table = load_trace_table(g1, text)
+    assert verify_property_B(g1, 1, table).holds
+    with pytest.raises(ValueError, match="another graph object"):
+        verify_property_B(g2, 1, table)
+    with pytest.raises(ValueError, match="another graph object"):
+        mu_report(g2, 1, ("trace",), table)
+    with pytest.raises(ValueError, match="another graph object"):
+        mu_from_trace(g2.identity, g2.element((0,)), table)
+    with pytest.raises(TraceGapError):  # a real gap is still a gap
+        load_trace_table(g1, "e : 1").tau_c(g1.element((0,)))
 
 
 def test_builtin_table_as_user_table_verifies():
@@ -447,7 +478,7 @@ def test_form_tt_matches_tt_prod_route_on_a_user_table():
         top = w.length % 2
         values[w] = LaurentPoly({top - 2 * k: rng.randint(-3, 3) for k in range(4)})
     table = TraceTable(g, values, label="random")
-    assert table.is_homogeneous()
+    assert table.describe() == "random"  # homogeneous as drawn: nothing projected
     assert_form_matches_tt_prod(g, 12, table)
 
 
