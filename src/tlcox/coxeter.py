@@ -18,20 +18,24 @@ word problems:
 - Every other element goes through its roots in a reflection representation
   (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4; Casselman,
   Computation in Coxeter groups I, EJC 9, 2002).  With s(a_t) = a_t - a_st a_s
-  on the simple roots a_t, an element w is keyed by the roots w^-1(a_t) over
-  all generators t.  s is a left descent of w iff w^-1(a_s) is negative, the
-  key of s*w is w^-1(a_t) - a_st w^-1(a_s), which replays no word, and the
-  canonical word comes from stripping the least left descent until a known
-  key, memoized from key to word.  Enumeration of the whole group tests no
-  sign: once a level holds every element of its length, the generators s
-  that reach a new element x as s*w from that level are its left descents,
-  so x is named by the least of them followed by the word of s*x.  The
-  Cartan entries are integers for labels 2, 3, 4, 6 and infinity (a_st a_ts
-  = 0, 1, 2, 3 and 4); every other label m has a_st = a_ts = -2cos(pi/m) in
-  Z[c], c = 2cos(pi/M) for M the lcm of those labels, with elements stored
-  as integer vectors modulo the minimal polynomial of c.  The zero test is
-  exact; a float decides a sign only when its error bound excludes zero,
-  and interval bisection on a rational bracket of c decides the rest.
+  on the simple roots a_t and f the linear form with f(a_s) = 1 for every s,
+  an element w is keyed by the heights h_t = f(w^-1(a_t)) over all
+  generators t: the form w.f on the basis a_t.  f is positive on the
+  positive roots, so s is a left descent of w iff h_s < 0; f lies in the
+  open fundamental chamber, so w -> w.f is injective (Tits; Humphreys,
+  Reflection Groups and Coxeter Groups, ch. 5).  The key of s*w is
+  h_t - a_st h_s, which replays no word, and the canonical word comes from
+  stripping the least left descent until a known key, memoized from key to
+  word.  Enumeration of the whole group tests no sign: once a level holds
+  every element of its length, the generators s that reach a new element x
+  as s*w from that level are its left descents, so x is named by the least
+  of them followed by the word of s*x.  The Cartan entries are integers for
+  labels 2, 3, 4, 6 and infinity (a_st a_ts = 0, 1, 2, 3 and 4); every
+  other label m has a_st = a_ts = -2cos(pi/m) in Z[c], c = 2cos(pi/M) for M
+  the lcm of those labels, with elements stored as integer vectors modulo
+  the minimal polynomial of c.  A height is never zero; a float decides its
+  sign only when its error bound excludes zero, and interval bisection on a
+  rational bracket of c decides the rest.
 
 The group acts on the left only, and everything else is read off s*w: the
 inverse of w is r*(wr)^-1 for r the last letter of w, w*s is (s*w^-1)^-1,
@@ -256,15 +260,13 @@ class CoxeterGraph:
         # without integer Cartan entries (M = 2, the integers, when none)
         irrational = {m for row in bonds for m in row if m not in (1, 2, 3, 4, 6, INFINITE)}
         ring = self._ring = _CosineRing(math.lcm(*irrational) if irrational else 2)
-        # per generator s: (t, matrix entries of a_st) for every a_st != 0
+        # per generator s: the update of a key by s, see _lmul_roots
+        d = ring.d
         self._cartan = tuple(
-            tuple((t, ring.mul_entries(_cartan_entry(ring, s, t, bonds[s][t])))
-                  for t in self._nbrs[s])
+            tuple((t * d + i, s * d + j, a) for t in self._nbrs[s]
+                  for i, j, a in ring.mul_entries(_cartan_entry(ring, s, t, bonds[s][t])))
             for s in range(n))
-        unit = [0] * (n * n * ring.d)
-        for t in range(n):
-            unit[(t * n + t) * ring.d] = 1
-        self._unit_key = tuple(unit)
+        self._unit_key = ((1,) + (0,) * (d - 1)) * n
         self._words: dict[tuple[int, ...], tuple[int, ...]] = {self._unit_key: ()}
         self._elements: dict[tuple[int, ...], GroupElement] = {}
         self._identity: GroupElement | None = None
@@ -320,31 +322,25 @@ class CoxeterGraph:
 
     # -- roots --------------------------------------------------------------------
 
-    # A key is the flat tuple of the roots w^-1(a_t), t = 0..n-1, each root n
-    # coordinates over the simple roots, each coordinate d integers in Z[c].
+    # A key is the flat tuple of the heights h_t = f(w^-1(a_t)), t = 0..n-1,
+    # each d integers in Z[c]: n*d integers, (1, 0, ..., 0) per t at the
+    # identity.  Each entry of _cartan[s] is (p, q, a): s*w subtracts a times
+    # entry q of w's key from its entry p.
 
     def _lmul_roots(self, s: int, key: tuple[int, ...]) -> tuple[int, ...]:
-        """The key of s*w from the key of w: (sw)^-1(a_t) = w^-1(a_t) - a_st w^-1(a_s)."""
-        d = self._ring.d
-        nd = self.rank * d
-        col = key[s * nd:(s + 1) * nd]
+        """The key of s*w from the key of w: h_t - a_st h_s, since
+        (sw)^-1(a_t) = w^-1(a_t) - a_st w^-1(a_s)."""
         out = list(key)
-        for t, entries in self._cartan[s]:
-            b = t * nd
-            for i, j, a in entries:
-                out[b + i:b + nd:d] = [x - a * y for x, y in zip(out[b + i:b + nd:d], col[j::d])]
+        for p, q, a in self._cartan[s]:
+            out[p] -= a * key[q]
         return tuple(out)
 
     def _negative(self, key: tuple[int, ...], t: int) -> bool:
-        """Whether the root w^-1(a_t) is negative.  The coordinates of a root
-        all have one sign, so its first nonzero coordinate decides."""
+        """Whether the root w^-1(a_t) is negative: its coordinates all have
+        one sign, and f(a_s) = 1 for every s, so its height h_t has that
+        sign too and is never zero."""
         d = self._ring.d
-        nd = self.rank * d
-        for u in range(t * nd, (t + 1) * nd, d):
-            x = key[u:u + d]
-            if any(x):
-                return self._ring.sign(x) < 0
-        raise AssertionError("a root is never zero")
+        return self._ring.sign(key[t * d:(t + 1) * d]) < 0
 
     def _replay(self, word: Sequence[int]) -> tuple[int, ...]:
         key = self._unit_key

@@ -333,6 +333,20 @@ def test_fully_commutative_commands_skip_the_group_cap(capsys):
     assert code == 2 and "--bound" in err
 
 
+@pytest.mark.parametrize("argv,exit_code,digest", [
+    (("verify", "S", "--preset", "E6", "--bound", "36"), 1, "836885d66cd7"),
+    (("verify", "W", "--preset", "D6", "--bound", "30"), 0, "014ad7e4e5b3"),
+])
+def test_whole_group_checks_at_scale(capsys, argv, exit_code, digest):
+    # the whole of E6 (51,840 elements) and of D6 (23,040) goes through the
+    # root route, far past what the braid closure can check
+    import hashlib
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
+
+
 def test_removed_cap_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--preset", "A3", "--cap", "2"])

@@ -107,6 +107,7 @@ def test_records_belong_to_their_graph():
 
 @pytest.mark.parametrize("name,order,longest", [
     ("A5", 720, 15), ("B4", 384, 16), ("D5", 1920, 20), ("F4", 1152, 24), ("H3", 120, 15),
+    ("E6", 51840, 36),
 ])
 def test_whole_group_orders(name, order, longest):
     g = build(name)
@@ -115,6 +116,13 @@ def test_whole_group_orders(name, order, longest):
     assert group_order(g, math.inf) == (order, longest)
     w0 = els[-1]  # the longest element: every generator is a descent on both sides
     assert w0.left_descents() == w0.right_descents() == frozenset(g.generators())
+    # the key of w is the height of each root w^-1(a_t): n ring elements, 1
+    # at the identity and -1 at w0, which sends every simple root to a
+    # negative simple root; w -> key is injective
+    unit = g._roots(g.identity)
+    assert len(unit) == g.rank * g._ring.d
+    assert g._roots(w0) == tuple(-x for x in unit)
+    assert len({g._roots(w) for w in els}) == order
 
 
 GROWER_CASES = [("D4", 12), ("D5", 10), ("F4", 24), ("H3", 15), ("B4", 16), ("~A2", 8),

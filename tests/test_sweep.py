@@ -9,7 +9,9 @@ it.  On every graph kept, the two canonical-basis routes agree on every
 fully commutative element, the coefficient tables pass their own checks
 (P Q = I and the v^-1 agreement), and the level grower, on a new graph,
 gives the braid closure's canonical words for the whole group up to
-length 6."""
+length 6, and for each of its elements the same left and right descents
+and inverse, and below length 6 the same products by each generator on
+either side."""
 
 import itertools
 import random
@@ -49,6 +51,15 @@ def test_random_graphs_agree_across_routes():
             coeff_tables(g, bound)
         except InternalConsistencyError as exc:
             raise AssertionError(f"{bonds} up to {bound}: {exc}") from exc
-        grown = [w.word for w in enumerate_elements(CoxeterGraph(bonds), CLOSURE_BOUND)]
-        assert grown == ClosureRoute(bonds).levels(CLOSURE_BOUND), bonds
+        h, ref = CoxeterGraph(bonds), ClosureRoute(bonds)
+        grown = list(enumerate_elements(h, CLOSURE_BOUND))
+        assert [w.word for w in grown] == ref.levels(CLOSURE_BOUND), bonds
+        for w in grown:
+            assert w.left_descents() == ref.left_descents(w.word), (bonds, w)
+            assert w.right_descents() == ref.right_descents(w.word), (bonds, w)
+            assert h.inverse(w).word == ref.normal_form(w.word[::-1]), (bonds, w)
+            if len(w.word) < CLOSURE_BOUND:
+                for s in h.generators():
+                    assert h.lmul(s, w).word == ref.lmul(s, w.word), (bonds, w, s)
+                    assert h.rmul(w, s).word == ref.rmul(w.word, s), (bonds, w, s)
     assert ranks == {3, 4, 5}
