@@ -19,11 +19,17 @@ its bytecode-cache state: whether PYTHONDONTWRITEBYTECODE was set and whether
 `src/tlcox/__pycache__` held `.pyc` files before its first run and after its
 last.  Without a cache every invocation compiles the package source, which
 shows in wall time and peak RSS, so only runs made in the same state compare.
+Each side also records, under `load`, what each invocation of the workload
+compiles: for every invocation that its `perfbench/run.py` lists in
+`WORKLOADS`, the `tlcox` modules a fresh interpreter holds after running it
+and the source lines of each, so that compile volume shows beside time.
+These runs write no bytecode cache.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -32,6 +38,16 @@ import sys
 from pathlib import Path
 
 END_TO_END = ("wall_norm", "peak_rss_mb", "setup_s")
+
+# runs one command and prints the file of every tlcox module it loaded
+LOAD_SCRIPT = """\
+import contextlib, io, json, sys
+from tlcox.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps({name: module.__file__ for name, module in sys.modules.items()
+                  if name == "tlcox" or name.startswith("tlcox.")}))
+"""
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -42,8 +58,32 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> d
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def lines(path: Path) -> int:
+    return path.read_bytes().count(b"\n")
+
+
 def src_lines(checkout: Path) -> int:
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "tlcox").glob("*.py"))
+    return sum(map(lines, (checkout / "src" / "tlcox").glob("*.py")))
+
+
+def load(checkout: Path, workload: str) -> list[dict]:
+    """Per invocation of the workload in the checkout's `perfbench/run.py`
+    (its `WORKLOADS` literal is read, not run): its arguments, the lines of
+    each `tlcox` module a fresh interpreter holds after running it, and
+    their sum."""
+    tree = ast.parse((checkout / "perfbench" / "run.py").read_text())
+    workloads = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and getattr(node.targets[0], "id", None) == "WORKLOADS")
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = []
+    for argv, _, _ in workloads[workload]:
+        proc = subprocess.run([sys.executable, "-c", LOAD_SCRIPT, *argv], cwd=checkout, env=env,
+                              capture_output=True, text=True, check=True)
+        files = json.loads(proc.stdout)
+        modules = {name: lines(Path(files[name])) for name in sorted(files)}
+        out.append({"argv": list(argv), "modules": modules, "lines": sum(modules.values())})
+    return out
 
 
 def has_pyc(checkout: Path) -> bool:
@@ -89,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             "pairs": len(args.seeds),
         }
     entry["src_lines"] = {side: src_lines(path) for side, path in sides.items()}
+    entry["load"] = {side: load(path, args.workload) for side, path in sides.items()}
     entry["correct"] = all(r["correct"] and not r["failed"] for rs in runs.values() for r in rs)
     if args.traced is not None:
         entry["traced"] = {side: run(path, args.workload, args.traced, args.seconds, 1)

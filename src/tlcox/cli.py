@@ -32,13 +32,15 @@ class ConfigError(ValueError):
 
 def _load_graph(args):
     """The graph of --preset or --graph (a `coxeter.CoxeterGraph`)."""
-    from .coxeter import parse_graph, preset
+    from .coxeter import preset
 
     if args.preset and args.graph:
         raise ConfigError("--preset and --graph are mutually exclusive")
     if args.preset:
         g = preset(args.preset)
     elif args.graph:
+        from .graphfile import parse_graph
+
         g = parse_graph(Path(args.graph).read_text())
     else:
         raise ConfigError("one of --preset or --graph is required")
@@ -143,6 +145,9 @@ def cmd_mu(args) -> int:
     if "oracle" in methods:
         _oracle(args, graph)
     source = _trace_source(args, graph) if "trace" in methods else None
+    if source is not None and source.describe().endswith("+homogenized"):  # mu names no source
+        print(f"note: trace={source.describe()}: each value was projected to the "
+              "length parity of its element", file=sys.stderr)
     report = mu_report(graph, bound, methods, source)
     _emit(args, report.dump_tsv())
     return 0

@@ -16,26 +16,16 @@ word problems:
   descents are the labels of the minimal and maximal elements, and s*w for
   a left descent s drops the first occurrence of s.
 - Every other element goes through its roots in a reflection representation
-  (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4; Casselman,
-  Computation in Coxeter groups I, EJC 9, 2002).  With s(a_t) = a_t - a_st a_s
-  on the simple roots a_t and f the linear form with f(a_s) = 1 for every s,
-  an element w is keyed by the heights h_t = f(w^-1(a_t)) over all
-  generators t: the form w.f on the basis a_t.  f is positive on the
-  positive roots, so s is a left descent of w iff h_s < 0; f lies in the
-  open fundamental chamber, so w -> w.f is injective (Tits; Humphreys,
-  Reflection Groups and Coxeter Groups, ch. 5).  The key of s*w is
-  h_t - a_st h_s, which replays no word, and the canonical word comes from
-  stripping the least left descent until a known key, memoized from key to
-  word.  Enumeration of the whole group tests no sign: once a level holds
-  every element of its length, the generators s that reach a new element x
-  as s*w from that level are its left descents, so x is named by the least
-  of them followed by the word of s*x.  The Cartan entries are integers for
-  labels 2, 3, 4, 6 and infinity (a_st a_ts = 0, 1, 2, 3 and 4); every
-  other label m has a_st = a_ts = -2cos(pi/m) in Z[c], c = 2cos(pi/M) for M
-  the lcm of those labels, with elements stored as integer vectors modulo
-  the minimal polynomial of c.  A height is never zero; a float decides its
-  sign only when its error bound excludes zero, and interval bisection on a
-  rational bracket of c decides the rest.
+  (`roots.RootSystem`, in its own module): an element is keyed by the
+  heights of the roots w^-1(a_t), which give its left descents, and the
+  canonical word comes from stripping the least left descent.  A graph
+  builds its root system on its first element that is not fully
+  commutative, so a run that builds fully commutative elements only, as the
+  quotient's tables, bases, structure constants and trace checks do, never
+  loads it.  Enumeration of the whole group tests no sign: once a level
+  holds every element of its length, the generators s that reach a new
+  element x as s*w from that level are its left descents, so x is named by
+  the least of them followed by the word of s*x.
 
 The group acts on the left only, and everything else is read off s*w: the
 inverse of w is r*(wr)^-1 for r the last letter of w, w*s is (s*w^-1)^-1,
@@ -47,13 +37,17 @@ as `e`.  Elements are interned per graph object, so within one graph object
 equality is identity: elements compare and hash by identity, at C speed.
 Each carries a record that its graph fills as the values are found: FC
 flag, descents, key, s*w for each generator s, inverse.
+
+The graph file format is in `graphfile`; reduced words, products of
+elements, Bruhat order and coset decompositions, which no command runs, are
+in `library`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 INFINITE = math.inf
 
@@ -70,168 +64,14 @@ class GraphError(ValueError):
     exit_code = 2
 
 
-# -- the scalars of the root system ---------------------------------------------------
-
-
-def _dickson(k: int) -> list[int]:
-    """P_k with P_k(2cos x) = 2cos(kx), lowest coefficient first:
-    P_0 = 2, P_1 = x, P_{k+1} = x P_k - P_{k-1}."""
-    prev, cur = [2], [0, 1]
-    for _ in range(k):
-        nxt = [0] + cur
-        for i, a in enumerate(prev):
-            nxt[i] -= a
-        prev, cur = cur, nxt
-    return prev
-
-
-def _cyclotomic(n: int) -> list[int]:
-    """The cyclotomic polynomial Phi_n, lowest coefficient first: z^n - 1
-    divided by Phi_k for every proper divisor k of n."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for k in range(1, n):
-        if n % k == 0:
-            div = _cyclotomic(k)  # monic
-            quot = [0] * (len(poly) - len(div) + 1)
-            for i in range(len(quot) - 1, -1, -1):
-                quot[i] = q = poly[i + len(div) - 1]
-                for j, a in enumerate(div):
-                    poly[i + j] -= q * a
-            poly = quot
-    return poly
-
-
-def _cosine_minimal_polynomial(M: int) -> list[int]:
-    """The minimal polynomial Psi_M of 2cos(pi/M), lowest coefficient first,
-    read off Phi_2M(z) = z^d Psi_M(z + 1/z): Phi_2M is palindromic of degree
-    2d, and z^k + z^-k = P_k(z + 1/z)."""
-    phi = _cyclotomic(2 * M)
-    d = (len(phi) - 1) // 2
-    psi = [phi[d]] + [0] * d
-    for k in range(1, d + 1):
-        for i, a in enumerate(_dickson(k)):
-            psi[i] += phi[d + k] * a
-    return psi
-
-
-def _poly_value(poly: Sequence[int], x):
-    out = 0
-    for a in reversed(poly):
-        out = out * x + a
-    return out
-
-
-class _CosineRing:
-    """The ring Z[c], c = 2cos(pi/M), its elements integer tuples over the
-    basis 1, c, ..., c^(d-1), reduced modulo the minimal polynomial of c
-    (d = phi(2M)/2).  M = 2 gives c = 0 and d = 1: the integers."""
-
-    def __init__(self, M: int):
-        self.psi = _cosine_minimal_polynomial(M)  # monic of degree d
-        self.d = len(self.psi) - 1
-        self.M = M
-        self._c = 2 * math.cos(math.pi / M)
-        self._bracket = None
-
-    def reduce(self, poly: Sequence[int]) -> tuple[int, ...]:
-        """A polynomial in c, lowest coefficient first, as a ring element."""
-        d, psi = self.d, self.psi
-        poly = list(poly) + [0] * (d - len(poly))
-        for k in range(len(poly) - 1, d - 1, -1):
-            top = poly[k]
-            if top:
-                for i, a in enumerate(psi):
-                    poly[k - d + i] -= top * a
-        return tuple(poly[:d])
-
-    def cos_pi_over(self, m: int) -> tuple[int, ...]:
-        """2cos(pi/m) = P_{M/m}(c), for m dividing M."""
-        return self.reduce(_dickson(self.M // m))
-
-    def mul_entries(self, a: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
-        """Multiplication by a, as the nonzero entries (i, j, v) of its
-        matrix: (a x)_i is the sum of v x_j."""
-        cols = [self.reduce([0] * j + list(a)) for j in range(self.d)]
-        return tuple((i, j, col[i]) for j, col in enumerate(cols)
-                     for i in range(self.d) if col[i])
-
-    def sign(self, x: Sequence[int]) -> int:
-        """The sign of the real number x(c), exactly."""
-        if not any(x[1:]):
-            return (x[0] > 0) - (x[0] < 0)
-        try:
-            val = mag = 0.0
-            power = 1.0
-            for a in x:
-                val += a * power
-                mag += abs(a) * power
-                power *= self._c
-        except OverflowError:
-            return self._exact_sign(x)
-        # c < 2 is within an ulp, so rounding moves val by less than
-        # d 2^-48 mag; for the degrees in use that is far below this bound
-        if abs(val) > mag * 2.0 ** -40:
-            return 1 if val > 0 else -1
-        return self._exact_sign(x)
-
-    def _exact_sign(self, x: Sequence[int]) -> int:
-        """Interval evaluation of x on a rational bracket of c, narrowed by
-        bisection on Psi_M until the interval excludes zero; x(c) is not
-        zero, since x is not and Psi_M is the minimal polynomial."""
-        from fractions import Fraction
-
-        psi = self.psi
-        if self._bracket is None:
-            # the other roots of Psi_M, 2cos(k pi/M) for odd k >= 3, lie at
-            # least 2cos(pi/M) - 2cos(3pi/M) = 4 sin(2pi/M) sin(pi/M) below c,
-            # which exceeds 2^-30 for M < 10^4: the bracket holds c alone
-            mid, half = Fraction(self._c), Fraction(1, 2 ** 40)
-            self._bracket = (mid - half, mid + half)
-            assert _poly_value(psi, mid - half) * _poly_value(psi, mid + half) < 0
-        lo, hi = self._bracket
-        lo_positive = _poly_value(psi, lo) > 0
-        while True:
-            # c > 1 and every power of c grows with c
-            low = sum(a * (lo if a > 0 else hi) ** i for i, a in enumerate(x))
-            high = sum(a * (hi if a > 0 else lo) ** i for i, a in enumerate(x))
-            if low > 0 or high < 0:
-                break
-            mid = (lo + hi) / 2
-            if (_poly_value(psi, mid) > 0) == lo_positive:
-                lo = mid
-            else:
-                hi = mid
-        self._bracket = (lo, hi)
-        return 1 if low > 0 else -1
-
-
-def _cartan_entry(ring: _CosineRing, s: int, t: int, m: int | float) -> tuple[int, ...]:
-    """a_st, for s = t or m(s,t) > 2, with s(a_t) = a_t - a_st a_s, as an
-    element of the ring."""
-    if s == t:
-        a = 2
-    elif m == 3:
-        a = -1
-    elif m == 4:  # a_st a_ts = 2 = 4cos^2(pi/4)
-        a = -1 if s < t else -2
-    elif m == 6:  # a_st a_ts = 3 = 4cos^2(pi/6)
-        a = -1 if s < t else -3
-    elif m == INFINITE:
-        a = -2
-    else:
-        return tuple(-x for x in ring.cos_pi_over(m))
-    return (a,) + (0,) * (ring.d - 1)
-
-
 class CoxeterGraph:
     """A Coxeter graph with memoized word-problem machinery.  The graph object
     owns everything computed over it: its interned elements and, in
     `algebras`, one algebra per algebra class (see `TLAlgebra.for_graph`)."""
 
     __slots__ = (
-        "bonds", "name", "rank", "_nbrs", "_braids", "_ring", "_cartan", "_unit_key",
-        "_words", "_elements", "_identity", "_fc", "_descents", "_levels",
-        "_level_complete", "algebras",
+        "bonds", "name", "rank", "_nbrs", "_braids", "_root_system", "_elements",
+        "_identity", "_fc", "_descents", "_levels", "_level_complete", "algebras",
     )
 
     def __init__(self, bonds: Sequence[Sequence[int | float]], name: str | None = None):
@@ -256,18 +96,7 @@ class CoxeterGraph:
         self._nbrs = tuple(tuple(t for t in range(n) if bonds[s][t] != 2) for s in range(n))
         self._braids = tuple((s, t, bonds[s][t]) for s in range(n) for t in range(s + 1, n)
                              if 3 <= bonds[s][t] < INFINITE)
-        # the root system: scalars in Z[2cos(pi/M)], M the lcm of the labels
-        # without integer Cartan entries (M = 2, the integers, when none)
-        irrational = {m for row in bonds for m in row if m not in (1, 2, 3, 4, 6, INFINITE)}
-        ring = self._ring = _CosineRing(math.lcm(*irrational) if irrational else 2)
-        # per generator s: the update of a key by s, see _lmul_roots
-        d = ring.d
-        self._cartan = tuple(
-            tuple((t * d + i, s * d + j, a) for t in self._nbrs[s]
-                  for i, j, a in ring.mul_entries(_cartan_entry(ring, s, t, bonds[s][t])))
-            for s in range(n))
-        self._unit_key = ((1,) + (0,) * (d - 1)) * n
-        self._words: dict[tuple[int, ...], tuple[int, ...]] = {self._unit_key: ()}
+        self._root_system = None
         self._elements: dict[tuple[int, ...], GroupElement] = {}
         self._identity: GroupElement | None = None
         self._fc: dict[tuple[int, ...], GroupElement | None] = {}
@@ -317,65 +146,20 @@ class CoxeterGraph:
                 raise ValueError(f"generator index {s} out of range for rank {self.rank}")
         canon = self.fc_normal_form_word(word)
         if canon is None:
-            canon = self._word_of(self._replay(word))
+            rs = self.root_system
+            canon = rs.word_of(rs.replay(word))
         return canon
 
-    # -- roots --------------------------------------------------------------------
+    @property
+    def root_system(self):
+        """The word problem of the elements that are not fully commutative
+        (`roots.RootSystem`), built on the first of them."""
+        rs = self._root_system
+        if rs is None:
+            from .roots import RootSystem
 
-    # A key is the flat tuple of the heights h_t = f(w^-1(a_t)), t = 0..n-1,
-    # each d integers in Z[c]: n*d integers, (1, 0, ..., 0) per t at the
-    # identity.  Each entry of _cartan[s] is (p, q, a): s*w subtracts a times
-    # entry q of w's key from its entry p.
-
-    def _lmul_roots(self, s: int, key: tuple[int, ...]) -> tuple[int, ...]:
-        """The key of s*w from the key of w: h_t - a_st h_s, since
-        (sw)^-1(a_t) = w^-1(a_t) - a_st w^-1(a_s)."""
-        out = list(key)
-        for p, q, a in self._cartan[s]:
-            out[p] -= a * key[q]
-        return tuple(out)
-
-    def _negative(self, key: tuple[int, ...], t: int) -> bool:
-        """Whether the root w^-1(a_t) is negative: its coordinates all have
-        one sign, and f(a_s) = 1 for every s, so its height h_t has that
-        sign too and is never zero."""
-        d = self._ring.d
-        return self._ring.sign(key[t * d:(t + 1) * d]) < 0
-
-    def _replay(self, word: Sequence[int]) -> tuple[int, ...]:
-        key = self._unit_key
-        for s in reversed(word):
-            key = self._lmul_roots(s, key)
-        return key
-
-    def _word_of(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        """The canonical word of the element with this key: the least left
-        descent, then the canonical word of what stripping it leaves.
-        Memoized from key to word; the identity's key is known."""
-        words = self._words
-        word = words.get(key)
-        path = []
-        while word is None:
-            s = next(t for t in range(self.rank) if self._negative(key, t))
-            path.append((key, s))
-            key = self._lmul_roots(s, key)
-            word = words.get(key)
-        for key, s in reversed(path):
-            word = (s,) + word
-            words[key] = word
-        return word
-
-    def _roots(self, w: "GroupElement") -> tuple[int, ...]:
-        if w.roots is None:
-            w.roots = self._replay(w.word)
-            self._words.setdefault(w.roots, w.word)
-        return w.roots
-
-    def _from_roots(self, key: tuple[int, ...]) -> "GroupElement":
-        el = self._intern(self._word_of(key))
-        if el.roots is None:  # else keep the one copy, shared with _words
-            el.roots = key
-        return el
+            rs = self._root_system = RootSystem(self)
+        return rs
 
     # -- heaps --------------------------------------------------------------------
 
@@ -502,15 +286,6 @@ class CoxeterGraph:
             self._identity = self.element(())
         return self._identity
 
-    def reduced_words(self, w: "GroupElement") -> frozenset[tuple[int, ...]]:
-        """All reduced words for w: s.u for every left descent s of w and
-        every reduced word u of s*w.  Not memoized; there are exponentially
-        many."""
-        if not w.word:
-            return frozenset({()})
-        return frozenset((s,) + u for s in self.left_descents(w)
-                         for u in self.reduced_words(self.lmul(s, w)))
-
     # -- multiplication ---------------------------------------------------------
 
     def lmul(self, s: int, w: "GroupElement") -> "GroupElement":
@@ -543,17 +318,12 @@ class CoxeterGraph:
         else:
             got = self._fc_element((s,) + word) if fc else None
             if got is None:
-                got = self._from_roots(self._lmul_roots(s, self._roots(w)))
+                rs = self.root_system
+                got = rs.element_of(rs.lmul(s, rs.key_of(w)))
                 if len(got.word) > len(word):  # w is a factor: not FC either
                     got.fc = False
         w.lnbr[s], got.lnbr[s] = got, w
         return got
-
-    def mul(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
-        out = b
-        for s in reversed(a.word):
-            out = self.lmul(s, out)
-        return out
 
     def inverse(self, w: "GroupElement") -> "GroupElement":
         """r * (w r)^-1 for r the last letter of w.  The prefix w r of the
@@ -573,9 +343,10 @@ class CoxeterGraph:
     def left_descents(self, w: "GroupElement") -> frozenset[int]:
         w = w if w.graph is self else self.element(w.word)
         if w.ldesc is None and not self.is_fully_commutative(w):  # FC: from the heap
-            key = self._roots(w)
+            rs = self.root_system
+            key = rs.key_of(w)
             w.ldesc = self._descent_set(sum(1 << t for t in self.generators()
-                                            if self._negative(key, t)))
+                                            if rs.negative(key, t)))
         return w.ldesc
 
     def right_descents(self, w: "GroupElement") -> frozenset[int]:
@@ -592,23 +363,6 @@ class CoxeterGraph:
         if side == "right":
             return self.right_descents, lambda r, x: self.rmul(x, r)
         raise ValueError("side must be 'left' or 'right'")
-
-    def bruhat_leq(self, x: "GroupElement", w: "GroupElement") -> bool:
-        """Bruhat order, decided by the lifting property one letter of w at a
-        time: for a left descent s of w, x <= w iff sx <= sw when sx < x, and
-        x <= sw otherwise.  Each step takes one branch, so this is at most
-        len(w) lookups of neighbour records; equivalent to the subword
-        characterization."""
-        if x.graph is not self and x.graph != self:
-            raise ValueError("elements from different graphs")
-        while len(x.word) <= len(w.word):
-            if x.word == w.word or not x.word:
-                return True
-            s = w.word[0]
-            if s in self.left_descents(x):
-                x = self.lmul(s, x)
-            w = self.lmul(s, w)
-        return False
 
     # -- full commutativity --------------------------------------------------------
 
@@ -655,13 +409,14 @@ class CoxeterGraph:
         """The elements of length k + 1, given `level`, all elements of
         length k.  For w in `level` and s not in L(w), s*w is w's recorded
         neighbour, else the heap of s.w when w is fully commutative, else
-        found by one root update of w's key, looked up in `_words`.  Each s
+        found by one root update of w's key, looked up in the root system's
+        key -> word memo (`RootSystem.words`).  Each s
         in L(x) reaches x from s*x, which lies in `level`, so the generators
         that reach x are its left descents, and the least of them followed
         by the word of s*x is its canonical word.  A key with no known word
         is a new element; like every product found by its roots, it is not
         fully commutative."""
-        words, lmul_roots = self._words, self._lmul_roots
+        rs = None
         reach: dict[GroupElement, int] = {}  # x -> bitmask of the s that reach it
         fresh: dict[tuple[int, ...], list[tuple[int, GroupElement]]] = {}  # key -> (s, s*x)
         for w in level:
@@ -677,9 +432,10 @@ class CoxeterGraph:
                         x = self._fc_element((s,) + w.word)
                     if x is None:
                         if key is None:
-                            key = self._roots(w)
-                        xkey = lmul_roots(s, key)
-                        word = words.get(xkey)
+                            rs = self.root_system
+                            key = rs.key_of(w)
+                        xkey = rs.lmul(s, key)
+                        word = rs.words.get(xkey)
                         if word is None:
                             fresh.setdefault(xkey, []).append((s, w))
                             continue
@@ -693,7 +449,7 @@ class CoxeterGraph:
             t, w = min(pairs, key=lambda pair: pair[0])
             x = self._intern((t,) + w.word)
             x.roots, x.fc = xkey, False
-            words[xkey] = x.word
+            rs.words[xkey] = x.word
             mask = 0
             for s, w in pairs:
                 w.lnbr[s], x.lnbr[s] = x, w
@@ -738,7 +494,9 @@ class GroupElement:
         return (len(self.word), self.word)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.graph.mul(self, other)
+        from .library import mul
+
+        return mul(self, other)
 
     def left_descents(self) -> frozenset[int]:
         return self.graph.left_descents(self)
@@ -781,24 +539,6 @@ def parse_element(graph: CoxeterGraph, text: str) -> GroupElement:
 
 
 # -- derived operations --------------------------------------------------------------
-
-
-def normal_form(graph: CoxeterGraph, word: Iterable[int]) -> GroupElement:
-    """Canonical element of an arbitrary word in the generators."""
-    return graph.element(word)
-
-
-def bruhat_leq(x: GroupElement, w: GroupElement) -> bool:
-    return x.graph.bruhat_leq(x, w)
-
-
-def is_commuting_product(w: GroupElement) -> bool:
-    """True iff w is a product of distinct pairwise-commuting generators."""
-    word = w.word
-    bonds = w.graph.bonds
-    if len(set(word)) != len(word):
-        return False
-    return all(bonds[a][b] == 2 for i, a in enumerate(word) for b in word[i + 1:])
 
 
 def classify(w: GroupElement) -> str:
@@ -923,54 +663,6 @@ def group_order(graph: CoxeterGraph, cap: int) -> tuple[int, int] | None:
     return order, longest
 
 
-class CosetDecomposition(NamedTuple):
-    """Factorization of w across a rank-2 parabolic: w = part_I * rest (left)
-    or rest * part_I (right), with additive lengths; rest has no descent in I
-    on the relevant side."""
-
-    part_I: GroupElement
-    rest: GroupElement
-    side: str
-    pair: tuple[int, int]
-
-    def recombine(self) -> GroupElement:
-        if self.side == "left":
-            return self.part_I * self.rest
-        return self.rest * self.part_I
-
-    def case(self) -> int:
-        """The four-way position of w in its coset: 1 shortest, 2 longest,
-        3/4 inside a string (split by the boundary letter, smaller index first)."""
-        s, t = self.pair
-        a = self.part_I.length
-        m = self.part_I.graph.m(s, t)
-        if a == 0:
-            return 1
-        if m != INFINITE and a == m:
-            return 2
-        edge = self.part_I.word[-1] if self.side == "left" else self.part_I.word[0]
-        return 3 if edge == s else 4
-
-
-def coset_decompose(w: GroupElement, pair: tuple[int, int], side: str) -> CosetDecomposition:
-    """Unique length-additive factorization across the parabolic on {s, t}."""
-    g = w.graph
-    s, t = pair
-    if s == t or g.m(s, t) < 3:
-        raise ValueError("pair must be noncommuting (bond label >= 3)")
-    pair = (min(s, t), max(s, t))
-    members = frozenset(pair)
-    descents, mul = g.on_side(side)
-    letters: list[int] = []
-    rest = w
-    while d := descents(rest) & members:
-        r = min(d)
-        letters.append(r)
-        rest = mul(r, rest)
-    part = g.element(letters if side == "left" else letters[::-1])
-    return CosetDecomposition(part, rest, side, pair)
-
-
 def decompose_fc_prefix(w: GroupElement, s: int):
     """For fully commutative w with s*w longer and not fully commutative,
     split w = w1 * w2 * w3 where every letter of w1 commutes with (and
@@ -1001,70 +693,7 @@ def decompose_fc_prefix(w: GroupElement, s: int):
     return g.element(word[:k]), g.element(tuple(word[i] for i in chain)), g.element(w3), t
 
 
-# -- graph text format and presets --------------------------------------------------
-
-
-def parse_graph(text: str) -> CoxeterGraph:
-    """Read a graph description: `rank N`, `edge i j m` (m >= 3 or `inf`),
-    or a single `preset NAME`; `#` starts a comment."""
-    rank: int | None = None
-    edges: dict[tuple[int, int], int | float] = {}
-    preset_name: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "rank" and len(parts) == 2:
-            if preset_name is not None:
-                raise GraphError(f"line {lineno}: preset and rank/edge are mutually exclusive")
-            if rank is not None:
-                raise GraphError(f"line {lineno}: duplicate rank statement")
-            try:
-                rank = int(parts[1])
-            except ValueError:
-                raise GraphError(f"line {lineno}: malformed rank") from None
-            if rank < 1:
-                raise GraphError(f"line {lineno}: rank must be positive")
-        elif parts[0] == "edge" and len(parts) == 4:
-            if preset_name is not None:
-                raise GraphError(f"line {lineno}: preset and rank/edge are mutually exclusive")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphError(f"line {lineno}: malformed edge indices") from None
-            m: int | float
-            if parts[3] == "inf":
-                m = INFINITE
-            else:
-                try:
-                    m = int(parts[3])
-                except ValueError:
-                    raise GraphError(f"line {lineno}: malformed edge label") from None
-                if m < 3:
-                    raise GraphError(f"line {lineno}: explicit edge label must be >= 3")
-            if i == j:
-                raise GraphError(f"line {lineno}: loops are not allowed")
-            key = (min(i, j), max(i, j))
-            if key in edges:
-                raise GraphError(f"line {lineno}: duplicate edge {key}")
-            edges[key] = m
-        elif parts[0] == "preset" and len(parts) == 2:
-            if rank is not None or edges:
-                raise GraphError(f"line {lineno}: preset and rank/edge are mutually exclusive")
-            if preset_name is not None:
-                raise GraphError(f"line {lineno}: duplicate preset statement")
-            preset_name = parts[1]
-        else:
-            raise GraphError(f"line {lineno}: malformed statement: {line!r}")
-    if preset_name is not None:
-        return preset(preset_name)
-    if rank is None:
-        raise GraphError("missing rank statement")
-    for (i, j) in edges:
-        if not (1 <= i <= rank and 1 <= j <= rank):
-            raise GraphError(f"edge {i} {j} out of range for rank {rank}")
-    return _graph(rank, [(i - 1, j - 1, m) for (i, j), m in edges.items()])
+# -- presets -----------------------------------------------------------------------------
 
 
 def _graph(n: int, edges: Iterable[tuple[int, int, int | float]],

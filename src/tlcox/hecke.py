@@ -3,7 +3,7 @@
 The scaled standard basis is indexed by all group elements (not only the
 fully commutative ones) and multiplication never leaves it, so everything
 here is plain unitriangular linear algebra on the engine the quotient uses
-too (`tl._Algebra`): the bar involution by inverting generators, the
+too (`algebra._Algebra`): the bar involution by inverting generators, the
 bar-invariant basis by the Kazhdan-Lusztig length recursion (Invent. Math.
 53, 1979), its products by the shared mu-rule, and the classical polynomials
 read off from its coefficients.  The quotient's bar-solve stays independent of it.
@@ -17,15 +17,9 @@ refuses computations whose support enumeration grows past desk size.
 
 from __future__ import annotations
 
-
-from .coxeter import (
-    CoxeterGraph,
-    GroupElement,
-    enumerate_elements,
-    format_element,
-)
+from .algebra import Coords, _Algebra, _same_graph
+from .coxeter import CoxeterGraph, GroupElement, enumerate_elements, format_element
 from .laurent import ONE, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb
-from .tl import Coords, TLAlgebra, _Algebra, _same_graph
 
 DEFAULT_ELEMENT_CAP = 50_000
 
@@ -104,6 +98,8 @@ class HeckeAlgebra(_Algebra):
 
     def theta_basis(self, w: GroupElement) -> Coords:
         """The image of T_w in the quotient, memoized there (`expand`)."""
+        from .tl import TLAlgebra
+
         return TLAlgebra.for_graph(self.graph).expand(w)
 
     def theta(self, coords: Coords) -> Coords:

@@ -12,15 +12,7 @@ depth-first searches over it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .coxeter import (
-    CoxeterGraph,
-    GroupElement,
-    enumerate_elements,
-    format_element,
-    is_commuting_product,
-)
+from .coxeter import CoxeterGraph, GroupElement, enumerate_elements, format_element
 
 
 def star(w: GroupElement, pair: tuple[int, int], side: str, direction: str) -> GroupElement | None:
@@ -61,6 +53,15 @@ def star_reduction_paths(w: GroupElement) -> set[GroupElement]:
             if x is not None:
                 out.add(x)
     return out
+
+
+def is_commuting_product(w: GroupElement) -> bool:
+    """True iff w is a product of distinct pairwise-commuting generators."""
+    word = w.word
+    bonds = w.graph.bonds
+    if len(set(word)) != len(word):
+        return False
+    return all(bonds[a][b] == 2 for i, a in enumerate(word) for b in word[i + 1:])
 
 
 def _star_reaches(w: GroupElement, predicate, memo: dict) -> bool:
@@ -166,39 +167,9 @@ def n_stat(w: GroupElement) -> int:
     return len(up) - sum(augment(i, set()) for i in range(len(up)))
 
 
-class Coloring(NamedTuple):
-    """A proper 2-coloring of the underlying graph (adjacent = noncommuting)."""
-
-    eps: tuple[int, ...]
-
-    def color(self, s: int) -> int:
-        return self.eps[s]
-
-
-def bipartite_coloring(graph: CoxeterGraph) -> Coloring | None:
-    """BFS 2-coloring, color 0 at the lowest-index node of each component;
-    None when some cycle is odd."""
-    eps: list[int | None] = [None] * graph.rank
-    for root in graph.generators():
-        if eps[root] is not None:
-            continue
-        eps[root] = 0
-        queue = [root]
-        while queue:
-            a = queue.pop(0)
-            for b in graph.generators():
-                if a == b or graph.m(a, b) < 3:
-                    continue
-                if eps[b] is None:
-                    eps[b] = 1 - eps[a]
-                    queue.append(b)
-                elif eps[b] == eps[a]:
-                    return None
-    return Coloring(tuple(eps))  # type: ignore[arg-type]
-
-
-def k_epsilon(w: GroupElement, coloring: Coloring) -> int:
-    """Sign statistic: product over both descent sets of (-1)^(# color-0 members)."""
+def k_epsilon(w: GroupElement, coloring) -> int:
+    """Sign statistic: product over both descent sets of (-1)^(# color-0
+    members), for a 2-coloring from `trace.bipartite_coloring`."""
     if not w.is_fully_commutative():
         raise ValueError("k_epsilon is defined for fully commutative elements only")
     left = sum(1 for s in w.left_descents() if coloring.eps[s] == 0)

@@ -12,9 +12,8 @@ t_w: shorten (descent), extend (still fully commutative), or rewrite by the
 relation above after splitting off the commuting prefix.  Everything else is
 built on that kernel: the bar involution (by inverting generators), the
 canonical basis (a triangular bar-solve and a length recursion driven by the
-v^-1 coefficients), the p*/q*/M tables, products in canonical coordinates,
-and the dihedral canonical basis from the three-term second-kind Chebyshev
-recurrence.
+v^-1 coefficients), the p*/q*/M tables and products in canonical
+coordinates.
 
 Tables, products and traces read the canonical basis through `canonical`:
 the length recursion, which certifies itself (it raises unless every column
@@ -27,21 +26,22 @@ packed integers): the check tests p* rather than restating it.
 
 Products of canonical basis elements stay in canonical coordinates: c_x c_y
 follows from a table of c_s c_w, one checked mu-rule read off the column of w,
-by peeling the first letter of x (`_Algebra`, shared with the full-group algebra).
+by peeling the first letter of x (`algebra._Algebra`, shared with the
+full-group algebra).
 
 The algebras act on the left only: t_s t_w (`lgen`) is the one generator
 action, and a right product t_w t_s is read off it through the word-reversal
 anti-automorphism (`star_involution_coords`).  A table is memoized on the
 algebra of one graph object, which the graph keeps (`for_graph`), when a
 recursion reads its entries again (the generator action, the canonical
-basis, q* columns, products); what is cheap to recompute, such as the
-alternating products of `dihedral_cbasis`, is not kept.  There is no
+basis, q* columns, products); what is cheap to recompute is not kept.
+There is no
 process-global state, and the memos go with the graph.  Elements compare
 by identity, so an algebra refuses an element of another graph object
 (ValueError) where it takes one from a caller: on entry, or on the memo
-miss that such an element always is.  The full-group
-oracle (`hecke.HeckeAlgebra`) shares this module's engine, `_Algebra`: the
-generator action, the bar involution, the length recursion and products.
+miss that such an element always is.  The full-group oracle
+(`hecke.HeckeAlgebra`) shares the engine of `algebra`: the generator
+action, the bar involution, the length recursion and products.
 Everything is an immutable value from the caller's point of view.
 """
 
@@ -59,24 +59,8 @@ from .coxeter import (
     enumerate_elements,
     format_element,
 )
-from .laurent import (DELTA, ONE, V_INV, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms,
-                      lincomb)
-
-Coords = dict[GroupElement, LaurentPoly]
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two routes that must agree exactly did not."""
-
-    exit_code = 3
-
-
-def _same_graph(graph: CoxeterGraph, *elements: GroupElement) -> None:
-    """Refuse an element of a graph object other than `graph`: elements
-    compare by identity, so it would match none of graph's."""
-    for w in elements:
-        if w.graph is not graph:
-            raise ValueError(f"element {format_element(w)} belongs to another graph object")
+from .algebra import Coords, InternalConsistencyError, _Algebra, _same_graph
+from .laurent import ONE, V_MINUS_VINV, ZERO, LaurentPoly, acc, format_terms, lincomb
 
 
 class CanonicalRecursionError(RuntimeError):
@@ -130,176 +114,6 @@ def _dihedral_proper_words(s: int, t: int, m: int) -> list[tuple[int, ...]]:
         out.append(tuple(s if j % 2 == 0 else t for j in range(k)))
         out.append(tuple(t if j % 2 == 0 else s for j in range(k)))
     return out
-
-
-class _Algebra:
-    """What the quotient and the full-group algebra share: one algebra per
-    graph object, kept by the graph; the action of the generators on standard
-    coordinates, through the subclass's `lgen` (t_s t_w); the bar involution;
-    the length recursion (`_peel`); the change to bar-invariant coordinates
-    (`to_c`); and products by one mu-rule (`c_lgen`)."""
-
-    def __init__(self, graph: CoxeterGraph):
-        self.graph = graph
-        self._bar: dict[GroupElement, Coords] = {}
-        self._cgen: dict[tuple[int, GroupElement], Coords] = {}
-        self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
-        self._basis_lmul = graph.lmul  # s w, or None where it leaves the basis
-
-    @classmethod
-    def for_graph(cls, graph: CoxeterGraph):
-        """The algebra of this graph object: built on first use and kept in
-        `graph.algebras`, so its memos live exactly as long as the graph."""
-        alg = graph.algebras.get(cls)
-        if alg is None:
-            alg = graph.algebras[cls] = cls(graph)
-        return alg
-
-    def _keep(self, memo: dict, w: GroupElement, value: Coords) -> None:
-        """memo[w] = value; the full-group algebra checks its cap first."""
-        memo[w] = value
-
-    def unit(self) -> Coords:
-        return {self.graph.identity: ONE}
-
-    def lmul(self, s: int, coords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.lgen(s, w), c)
-        return out
-
-    def t_mul(self, a: Coords, b: Coords) -> Coords:
-        """a * b in standard coordinates: each t_x of a acts on b letter by
-        letter, last letter first."""
-        out: Coords = {}
-        for x, cx in a.items():
-            prod = b
-            for s in reversed(x.word):
-                prod = self.lmul(s, prod)
-            acc(out, prod, cx)
-        return out
-
-    def bar_basis(self, w: GroupElement) -> Coords:
-        """bar(t_w): the product of (t_s - (v - v^-1)) along the word of w."""
-        cached = self._bar.get(w)
-        if cached is None:
-            _same_graph(self.graph, w)
-            if not w.word:
-                cached = self.unit()
-            else:
-                rest = self.bar_basis(self.graph.lmul(w.word[0], w))
-                cached = self.lmul(w.word[0], rest)
-                acc(cached, rest, -V_MINUS_VINV)
-            self._keep(self._bar, w, cached)
-        return cached
-
-    def bar(self, coords: Coords) -> Coords:
-        out: Coords = {}
-        for w, c in coords.items():
-            acc(out, self.bar_basis(w), c.bar())
-        return out
-
-    def _peel(self, w: GroupElement, basis: Callable[[GroupElement], Coords]) -> Coords:
-        """The bar-invariant basis element over w from shorter ones, by the
-        Kazhdan-Lusztig recursion (Invent. Math. 53, 1979): with s = w.word[0],
-        the least left descent of w, and w' = s w,
-
-            c_w = c_s c_w' - sum over y with s in L(y) of mu(y, w') c_y,
-
-        c_s = t_s + v^-1 and mu(y, w') the v^-1 coefficient of c_w' at y;
-        `basis` is the memoized accessor the recursion reads c_w' and c_y
-        through."""
-        if not w.word:
-            return self.unit()
-        g = self.graph
-        s = w.word[0]
-        cp = basis(g.lmul(s, w))
-        out = self.lmul(s, cp)
-        acc(out, cp, V_INV)
-        for y, c in cp.items():
-            if s in g.left_descents(y) and (mu := c.coeff(-1)):
-                acc(out, basis(y), LaurentPoly.const(-mu))
-        return out
-
-    def to_c(self, tcoords: Coords) -> Coords:
-        """Standard-basis coefficients -> canonical-basis coefficients
-        (greedy unitriangular elimination from the top)."""
-        rem = dict(tcoords)
-        out: Coords = {}
-        while rem:
-            w = max(rem)
-            a = out[w] = rem[w]
-            acc(rem, self.canonical(w), -a)
-            if w in rem:  # the unit diagonal of c_w clears rem[w]
-                raise InternalConsistencyError(f"c[{format_element(w)}] is not unitriangular")
-        return out
-
-    def mu(self, y: GroupElement, w: GroupElement) -> int:
-        """mu(y, w): the v^-1 coefficient of c_w at y."""
-        _same_graph(self.graph, y)
-        return self.canonical(w).get(y, ZERO).coeff(-1)
-
-    def c_lgen(self, s: int, w: GroupElement) -> Coords:
-        """c_s c_w in bar-invariant coordinates, memoized on (s, w), by the mu-rule
-        (Kazhdan-Lusztig 1979; Green-Losonczy 1999 for the quotient): (v + v^-1) c_w
-        if s is in L(w), else c_sw if s w is a basis element plus mu(z, w) c_z for
-        each z with s in L(z).  c_s c_w less the rule is bar-invariant, so it is zero
-        if its coordinates lie in v^-1 Z[v^-1]; with c_s = t_s + v^-1 and c_w = sum
-        p_y t_y, all do but `off`: p_y t_s t_y for y with s y outside the basis and,
-        if s is in L(w), 1 at s w less mu(y, w) at each y with s not in L(y).  Where
-        `off` is not in v^-1 Z[v^-1], c_s c_w is eliminated from standard coordinates."""
-        key = (s, w)
-        cached = self._cgen.get(key)
-        if cached is None:
-            _same_graph(self.graph, w)
-            g = self.graph
-            cw = self.canonical(w)
-            down = s in g.left_descents(w)
-            sw = g.lmul(s, w) if down else self._basis_lmul(s, w)
-            cached = {w: DELTA} if down else {} if sw is None else {sw: ONE}
-            off = {sw: ONE} if down else {}
-            for y, c in cw.items():
-                mu = c.coeff(-1)
-                if s not in g.left_descents(y):
-                    if down and mu:
-                        off[y] = off.get(y, ZERO) - mu
-                    if self._basis_lmul(s, y) is None:
-                        acc(off, self.lgen(s, y), c)
-                elif mu and not down:
-                    cached[y] = LaurentPoly.const(mu)
-            if not all(c.in_vneg() for c in off.values()):
-                cached = self.to_c(self.lmul(s, cw))
-                acc(cached, {w: V_INV})
-            self._cgen[key] = cached
-        return cached
-
-    def _product(self, x: GroupElement, y: GroupElement,
-                 mul: Callable[[GroupElement, GroupElement], Coords]) -> Coords:
-        """c_x c_y in bar-invariant coordinates, by the left action of c_s
-        (`c_lgen`); memoized on (x, y).  With s the first letter of x and
-        x' = s x, the product c_s c_x' is c_x plus strictly shorter terms
-        a_z c_z (both bases are unitriangular), so
-
-            c_x c_y = sum_w (c_x' c_y)[w] c_s c_w - sum_z a_z c_z c_y.
-
-        mul is the public product, which the recursion calls."""
-        key = (x, y)
-        cached = self._cmul.get(key)
-        if cached is None:
-            _same_graph(self.graph, x, y)
-            if not x.word:
-                cached = {y: ONE}
-            else:
-                s = x.word[0]
-                xp = self.graph.lmul(s, x)
-                cached = {}
-                for w, c in mul(xp, y).items():
-                    acc(cached, self.c_lgen(s, w), c)
-                for z, a in self.c_lgen(s, xp).items():
-                    if z != x:
-                        acc(cached, mul(z, y), -a)
-            self._cmul[key] = cached
-        return cached
 
 
 class TLAlgebra(_Algebra):
@@ -486,42 +300,6 @@ class TLAlgebra(_Algebra):
         """q(x, w), read off column w."""
         _same_graph(self.graph, x)
         return self.q_column(w).get(x, ZERO)
-
-
-def chebyshev_coeffs(n: int) -> list[int]:
-    """Coefficients of the degree-n second-kind Chebyshev polynomial
-    (three-term recurrence P_n = x P_{n-1} - P_{n-2})."""
-    if n == 0:
-        return [1]
-    prev, cur = [1], [0, 1]
-    for _ in range(n - 1):
-        shifted = [0] + cur
-        nxt = [a - b for a, b in zip(shifted, prev + [0] * (len(shifted) - len(prev)))]
-        prev, cur = cur, nxt
-    return cur
-
-
-def dihedral_cbasis(graph: CoxeterGraph, i: int, start: int = 0) -> Coords:
-    """Canonical element of the alternating word of length i+1 in a rank-2
-    graph, built from x*P_i via the Chebyshev recurrence."""
-    if graph.rank != 2:
-        raise ValueError("dihedral construction needs a rank-2 graph")
-    m = graph.m(0, 1)
-    if i < 0 or (m != INFINITE and i > m - 2):
-        raise ValueError(f"index {i} out of range for bond {m}")
-    alg = TLAlgebra.for_graph(graph)
-    # chains[a]: the product of n alternating canonical generators, c_a first;
-    # c_a X = t_a X + v^-1 X
-    chains = [alg.unit(), alg.unit()]
-    out: Coords = {}
-    for n, coeff in enumerate([0] + chebyshev_coeffs(i)):  # x * P_i
-        if n:
-            prev, chains = chains, [alg.lmul(a, chains[1 - a]) for a in (0, 1)]
-            for a in (0, 1):
-                acc(chains[a], prev[1 - a], V_INV)
-        if coeff:
-            acc(out, chains[start], LaurentPoly.const(coeff))
-    return out
 
 
 def star_involution_coords(graph: CoxeterGraph, coords: Coords) -> Coords:

@@ -18,16 +18,12 @@ homogeneous and positive.
 
 from __future__ import annotations
 
+from typing import NamedTuple
 
-from .coxeter import (
-    CoxeterGraph,
-    GroupElement,
-    enumerate_elements,
-    format_element,
-    parse_element,
-)
+from .algebra import Coords, _same_graph
+from .coxeter import CoxeterGraph, GroupElement, enumerate_elements, format_element, parse_element
 from .laurent import ONE, LaurentPoly, delta_power, lincomb, parse_poly
-from .tl import Coords, TLAlgebra, _same_graph, star_involution_coords
+from .tl import TLAlgebra, star_involution_coords
 
 
 class TraceTableError(ValueError):
@@ -452,10 +448,39 @@ def verify_property_B(graph: CoxeterGraph, bound: int, source) -> TraceReport:
 # -- the nonrecursive coefficient extraction ---------------------------------------------
 
 
+class Coloring(NamedTuple):
+    """A proper 2-coloring of the underlying graph (adjacent = noncommuting)."""
+
+    eps: tuple[int, ...]
+
+    def color(self, s: int) -> int:
+        return self.eps[s]
+
+
+def bipartite_coloring(graph: CoxeterGraph) -> Coloring | None:
+    """BFS 2-coloring, color 0 at the lowest-index node of each component;
+    None when some cycle is odd."""
+    eps: list[int | None] = [None] * graph.rank
+    for root in graph.generators():
+        if eps[root] is not None:
+            continue
+        eps[root] = 0
+        queue = [root]
+        while queue:
+            a = queue.pop(0)
+            for b in graph.generators():
+                if a == b or graph.m(a, b) < 3:
+                    continue
+                if eps[b] is None:
+                    eps[b] = 1 - eps[a]
+                    queue.append(b)
+                elif eps[b] == eps[a]:
+                    return None
+    return Coloring(tuple(eps))  # type: ignore[arg-type]
+
+
 def _require_2_colorable(graph: CoxeterGraph) -> None:
     """Refuse a graph without a 2-coloring, which the v^-1 extraction needs."""
-    from .stars import bipartite_coloring
-
     if bipartite_coloring(graph) is None:
         raise NonBipartiteGraph("the v^-1 extraction is only valid over 2-colorable graphs")
 

@@ -8,6 +8,7 @@ between x and s w.  It memoizes on the pair and shares no memo with
 """
 
 from tlcox.laurent import ONE, ZERO, LaurentPoly
+from tlcox.library import bruhat_leq
 
 
 class PairRoute:
@@ -23,7 +24,7 @@ class PairRoute:
         g = self.graph
         if x == w:
             out = ONE
-        elif x.length >= w.length or not g.bruhat_leq(x, w):
+        elif x.length >= w.length or not bruhat_leq(x, w):
             out = ZERO
         else:
             s = min(g.left_descents(w))

@@ -1,6 +1,7 @@
 """`scripts/bench_record.py`, which writes every `BENCH_*.json`, with its
 benchmark runs replaced by synthetic results: the order of the runs, the
-pair count, the line counts and the merge into an existing file."""
+pair count, the line counts and the merge into an existing file; and the
+modules each invocation loads, on a stand-in package."""
 
 import importlib.util
 import json
@@ -39,6 +40,8 @@ def test_pairs_alternate_and_the_record_merges(tmp_path, monkeypatch):
                             for name in bench_record.END_TO_END}}
 
     monkeypatch.setattr(bench_record, "run", run)
+    monkeypatch.setattr(bench_record, "load", lambda checkout, workload: [
+        {"argv": [checkout.name, workload], "modules": {}, "lines": 0}])
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"full-group": {"kept": True}}))
     assert bench_record.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
@@ -58,3 +61,40 @@ def test_pairs_alternate_and_the_record_merges(tmp_path, monkeypatch):
     assert entry["correct"] is True
     assert [r["metrics"]["wall_norm"]["value"] for r in entry["runs"]["change"]] == [0.9, 1.0, 1.1]
     assert set(entry["traced"]) == {"parent", "change"}
+    assert entry["load"] == {side: [{"argv": [side, "products"], "modules": {}, "lines": 0}]
+                             for side in sides}
+
+
+CLI = """\
+import sys
+
+
+def main(argv):
+    if argv == ["deep"]:
+        import tlcox.engine
+    print("output")
+    return 1
+"""
+
+
+def test_load_lists_the_modules_each_invocation_holds(tmp_path):
+    # one fresh interpreter per invocation of the checkout's workload list,
+    # in listed order; the modules it holds after the command, with their
+    # lines, not those it never imported, and no bytecode cache written
+    pkg = tmp_path / "src" / "tlcox"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(CLI)
+    (pkg / "engine.py").write_text("a = 1\nb = 2\n")
+    (pkg / "unused.py").write_text("c = 3\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        'WORKLOADS = {"w": [(("deep",), 1, "x"), (("flat", "--x"), 1, "y")], "v": []}\n')
+    cli_lines = CLI.count("\n")
+    assert bench_record.load(tmp_path, "w") == [
+        {"argv": ["deep"], "modules": {"tlcox": 0, "tlcox.cli": cli_lines, "tlcox.engine": 2},
+         "lines": cli_lines + 2},
+        {"argv": ["flat", "--x"], "modules": {"tlcox": 0, "tlcox.cli": cli_lines},
+         "lines": cli_lines},
+    ]
+    assert not (pkg / "__pycache__").exists()

@@ -251,7 +251,8 @@ RANK4_INF_5_4 = "rank 4\nedge 1 2 inf\nedge 2 3 5\nedge 3 4 4\n"
 def test_tables_match_the_row_by_row_renderers(graph, bound, kl, tmp_path, capsys):
     import math
 
-    from tlcox.coxeter import group_order, parse_graph, preset as p
+    from tlcox.coxeter import group_order, preset as p
+    from tlcox.graphfile import parse_graph
     from tlcox.hecke import kl_tables
     from tlcox.tl import coeff_tables
 
@@ -491,7 +492,7 @@ def test_canonical_recursion_failure_exit_code(monkeypatch, capsys):
 EXIT_CODES = {
     "ConfigError": ("cli", 2), "GraphError": ("coxeter", 2), "TraceTableError": ("trace", 2),
     "TraceGapError": ("trace", 2), "NonBipartiteGraph": ("trace", 2),
-    "OracleCapExceeded": ("hecke", 2), "InternalConsistencyError": ("tl", 3),
+    "OracleCapExceeded": ("hecke", 2), "InternalConsistencyError": ("algebra", 3),
     "CanonicalRecursionError": ("tl", 3),
 }
 
@@ -560,6 +561,28 @@ def test_trace_commands_leave_no_evaluator_behind(tmp_path, capsys, monkeypatch)
     assert code == 0
     gc.collect()
     assert len(built) == 3 and all(ref() is None for ref in built)
+
+
+def test_mu_names_a_projected_trace_table_on_stderr(tmp_path, capsys):
+    # the mu table prints no source label, so a table whose values the load
+    # projected prints the same bytes as the projected table itself: one
+    # note on stderr names it, and stdout and the exit code stay as they are
+    from tlcox.coxeter import enumerate_elements, preset as p
+    from tlcox.trace import builtin_trace
+
+    g = p("A2")
+    tr = builtin_trace(g)
+    lines = [f"{w.format()} : {tr.tau_c(w).format()}"
+             for w in enumerate_elements(g, 4, fc_only=True)]
+    exact, rigged = tmp_path / "exact.txt", tmp_path / "rigged.txt"
+    exact.write_text("\n".join(lines) + "\n")
+    rigged.write_text("\n".join(lines).replace("e : ", "e : v^-1 + ", 1) + "\n")
+    argv = ("mu", "--preset", "A2", "--methods", "all", "--trace")
+    code, out, err = run_cli(capsys, *argv, str(exact))
+    assert code == 0 and err == ""
+    assert run_cli(capsys, *argv, str(rigged)) == (
+        code, out, "note: trace=rigged.txt+homogenized: each value was projected to the "
+                   "length parity of its element\n")
 
 
 B4_TABLES_SHA256 = "c86bb4d81e8d851dba127ed6eac0443ecc1b6bb5c3df4f59096a1e8fc9ff726a"
@@ -748,33 +771,42 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(code, *sorted(m for m in sys.modules if m.startswith("tlcox")))
 """
 
-TL_MODULES = ("cli", "coxeter", "laurent", "tl")
+ENGINE = ("algebra", "cli", "coxeter", "laurent")
+TL_MODULES = (*ENGINE, "tl")
 
 # argv -> (exit code, the tlcox modules a fresh interpreter holds after main):
-# the start-up paths, a configuration error, and the benchmark's invocations
+# the start-up paths, a configuration error, a graph file, and the
+# benchmark's invocations.  Only a command that builds an element that is not
+# fully commutative loads the root system (`roots`); the quotient's commands
+# never do, on H3's 5-bond either.
 MODULE_INVENTORY = {
     ("--version",): (0, ("cli",)),
     ("tables", "--help"): (0, ("cli",)),
     ("verify", "S", "--preset", "~A2"): (2, ("cli", "coxeter")),
+    ("tables", "--graph", "GRAPH_FILE", "--bound", "6"): (0, (*TL_MODULES, "graphfile")),
     ("tables", "--preset", "B4"): (0, TL_MODULES),
     ("tables", "--preset", "~C3", "--bound", "9"): (0, TL_MODULES),
-    ("tables", "--preset", "D4", "--kl"): (0, (*TL_MODULES, "hecke")),
-    ("verify", "S", "--preset", "D5", "--bound", "10"): (1, ("cli", "coxeter", "stars")),
-    ("verify", "W", "--preset", "D5", "--bound", "9"): (0, (*TL_MODULES, "stars")),
+    ("tables", "--preset", "D4", "--kl"): (0, (*ENGINE, "hecke", "roots")),
+    ("verify", "S", "--preset", "D5", "--bound", "10"): (1, ("cli", "coxeter", "roots",
+                                                              "stars")),
+    ("verify", "W", "--preset", "D5", "--bound", "9"): (0, (*TL_MODULES, "roots", "stars")),
     ("structure", "--preset", "B4", "--bound", "5"): (0, TL_MODULES),
     ("structure", "--preset", "H3"): (0, TL_MODULES),
-    ("mu", "--preset", "A4", "--methods", "all"): (0, (*TL_MODULES, "hecke", "stars",
+    ("mu", "--preset", "A4", "--methods", "all"): (0, (*TL_MODULES, "hecke", "roots",
                                                           "trace")),
     ("verify", "B", "--preset", "A4"): (0, (*TL_MODULES, "trace")),
 }
 
 
 @pytest.mark.parametrize("argv", list(MODULE_INVENTORY), ids=" ".join)
-def test_invocation_module_inventory(argv):
+def test_invocation_module_inventory(argv, tmp_path):
     # a command compiles only the modules it runs: start-up, --help and
     # usage errors load no engine module, and main picks an exit code
     # without importing one
-    proc = subprocess.run([sys.executable, "-c", INVENTORY_SCRIPT, *argv],
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(RANK4_INF_5_4)
+    args = [str(graph_file) if a == "GRAPH_FILE" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", INVENTORY_SCRIPT, *args],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     code, modules = MODULE_INVENTORY[argv]
@@ -816,6 +848,7 @@ def test_package_import_loads_no_dataclasses_or_inspect():
     # alone brings in `inspect`, `ast`, `dis` and `tokenize`
     script = (
         "import sys, tlcox.cli, tlcox.tl, tlcox.trace, tlcox.hecke\n"
+        "import tlcox.roots, tlcox.library, tlcox.graphfile\n"
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=child_env())
@@ -862,7 +895,7 @@ def test_memo_inventory(monkeypatch, capsys):
     # are recomputed
     import tlcox.coxeter
     from tlcox.coxeter import preset as p
-    from tlcox.tl import dihedral_cbasis
+    from tlcox.library import bruhat_leq, dihedral_cbasis
     from tlcox.trace import BuiltinTrace, TraceEvaluator
 
     g = p("A3")
@@ -878,14 +911,16 @@ def test_memo_inventory(monkeypatch, capsys):
                  ["structure", "--preset", "A3", "--kl-constants"]):
         assert main(argv) == 0, argv
     capsys.readouterr()
-    assert g.bruhat_leq(g.element([1]), g.element([0, 1, 2, 1]))
+    assert bruhat_leq(g.element([1]), g.element([0, 1, 2, 1]))
     d = p("I2(5)")
     dihedral_cbasis(d, 2)
+    assert d._root_system is None  # every element it built is fully commutative
     inventory: dict[str, set[str]] = {}
-    for obj in (g, d, *g.algebras.values(), *d.algebras.values(), *built):
+    for obj in (g, d, g._root_system, *g.algebras.values(), *d.algebras.values(), *built):
         inventory.setdefault(type(obj).__name__, set()).update(memo_names(obj))
     assert inventory == {
-        "CoxeterGraph": {"_words", "_elements", "_fc", "_descents", "algebras"},
+        "CoxeterGraph": {"_elements", "_fc", "_descents", "algebras"},
+        "RootSystem": {"words"},
         "TLAlgebra": {"_bar", "_cmul", "_lgen", "_expand", "_cbasis", "_cbasis_rec",
                       "_cgen", "_qcol", "_qmu"},
         "HeckeAlgebra": {"_bar", "_cmul", "_kl", "_cgen"},

@@ -13,14 +13,10 @@ import random
 import pytest
 
 from braid_closure import ClosureRoute
-from tlcox.coxeter import (
-    CoxeterGraph,
-    decompose_fc_prefix,
-    enumerate_elements,
-    normal_form,
-    parse_graph,
-    preset,
-)
+from tlcox.coxeter import CoxeterGraph, decompose_fc_prefix, enumerate_elements, preset
+from tlcox.graphfile import parse_graph
+from tlcox.library import normal_form
+from tlcox.roots import RootSystem
 from tlcox.stars import n_stat
 from tlcox.tl import coeff_tables
 
@@ -121,18 +117,22 @@ def test_fc_tables_build_each_heap_once(monkeypatch, name, bound):
     assert words and len(words) == len(set(words))
 
 
-@pytest.mark.parametrize("name,bound,fc_count", [("B4", 16, 83), ("~C3", 9, 178)])
+@pytest.mark.parametrize("name,bound,fc_count", [("B4", 16, 83), ("~C3", 9, 178),
+                                                  ("H3", 15, 44)])
 def test_fc_tables_build_no_closure(monkeypatch, name, bound, fc_count):
     # the quotient never needs the word problem of the full group: no root
-    # is computed, and no element that is not fully commutative is built
+    # system is built, so no root is computed, and no element that is not
+    # fully commutative is built; H3 has a 5-bond, whose ring the root
+    # system would need
     calls = []
-    original = CoxeterGraph._lmul_roots
-    monkeypatch.setattr(CoxeterGraph, "_lmul_roots",
-                        lambda self, *args: calls.append(args) or original(self, *args))
+    for method in ("__init__", "lmul"):
+        original = getattr(RootSystem, method)
+        monkeypatch.setattr(RootSystem, method, lambda self, *args, _original=original:
+                            calls.append(args) or _original(self, *args))
     g = build(name)
     tables = coeff_tables(g, bound)
     assert len(tables.elements) == fc_count
-    assert calls == [] and len(g._words) == 1
+    assert calls == [] and g._root_system is None
     # only fully commutative elements were ever built
     assert len(g._elements) == fc_count
     assert all(w.is_fully_commutative() for w in g._elements.values())

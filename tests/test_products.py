@@ -20,7 +20,8 @@ eliminating on `kl_basis`."""
 
 import pytest
 
-from tlcox.coxeter import enumerate_elements, parse_graph, preset
+from tlcox.coxeter import enumerate_elements, preset
+from tlcox.graphfile import parse_graph
 from tlcox.hecke import HeckeAlgebra
 from tlcox.laurent import V_INV
 from tlcox.tl import CanonicalRecursionError, TLAlgebra, acc

@@ -17,15 +17,10 @@ import random
 import pytest
 
 from braid_closure import ClosureRoute
-from tlcox.coxeter import (
-    _CosineRing,
-    _cosine_minimal_polynomial,
-    enumerate_elements,
-    group_order,
-    normal_form,
-    parse_graph,
-    preset,
-)
+from tlcox.coxeter import enumerate_elements, group_order, preset
+from tlcox.graphfile import parse_graph
+from tlcox.library import normal_form, reduced_words
+from tlcox.roots import RootSystem, _CosineRing, _cosine_minimal_polynomial
 
 GRAPHS = {
     "rank4": "rank 4\nedge 1 2 inf\nedge 2 3 5\nedge 3 4 4\n",
@@ -51,16 +46,17 @@ def test_root_route_matches_closure(name, bound):
     ref = ClosureRoute(g.bonds)
     els = list(enumerate_elements(g, bound))
     assert [w.word for w in els] == ref.levels(bound)
+    rs = g.root_system
     for w in els:
         # the root machinery on its own, fully commutative elements included
-        key = g._replay(w.word)
-        assert g._word_of(key) == w.word
-        assert {t for t in g.generators() if g._negative(key, t)} == ref.left_descents(w.word)
+        key = rs.replay(w.word)
+        assert rs.word_of(key) == w.word
+        assert {t for t in g.generators() if rs.negative(key, t)} == ref.left_descents(w.word)
         assert w.left_descents() == ref.left_descents(w.word)
         assert w.right_descents() == ref.right_descents(w.word)
         assert g.inverse(w).word == ref.normal_form(w.word[::-1])
         assert g.inverse(g.inverse(w)) is w
-        assert g.reduced_words(w) == ref.closure(w.word)
+        assert reduced_words(w) == ref.closure(w.word)
         for s in g.generators():
             assert g.lmul(s, w).word == ref.lmul(s, w.word), (w, s)
             assert g.rmul(w, s).word == ref.rmul(w.word, s), (w, s)
@@ -105,6 +101,31 @@ def test_records_belong_to_their_graph():
         assert all(x.graph is g for x in via_g) and all(x.graph is h for x in via_h), w
 
 
+def test_root_system_is_built_once_per_graph_on_its_first_complex_element(monkeypatch):
+    # fully commutative elements need only their heaps; the first element
+    # that is not builds the graph's root system, which every later one
+    # shares, and another graph object with the same bonds builds its own
+    built = []
+    original = RootSystem.__init__
+    monkeypatch.setattr(RootSystem, "__init__",
+                        lambda self, graph: built.append(graph) or original(self, graph))
+    g, h = build("H3"), build("H3")
+    assert len(list(enumerate_elements(g, 15, fc_only=True))) == 44
+    g.inverse(g.element([2, 1, 0, 1]))
+    assert built == [] and g._root_system is None
+    w = g.element([0, 1, 0, 1, 0])  # the braid of the 5-bond
+    assert not w.is_fully_commutative() and built == [g]
+    rs = g.root_system
+    assert len(list(enumerate_elements(g, 15))) == 120
+    assert g.element([1, 0, 1, 0, 1]) is w and built == [g] and g.root_system is rs
+    h.lmul(1, h.element([0, 1, 0, 1]))
+    assert built == [g, h]
+    other = h.root_system
+    assert other is not rs and other.graph is h
+    assert other.words is not rs.words and other.ring is not rs.ring
+    assert len(other.words) < len(rs.words)
+
+
 @pytest.mark.parametrize("name,order,longest", [
     ("A5", 720, 15), ("B4", 384, 16), ("D5", 1920, 20), ("F4", 1152, 24), ("H3", 120, 15),
     ("E6", 51840, 36),
@@ -119,10 +140,11 @@ def test_whole_group_orders(name, order, longest):
     # the key of w is the height of each root w^-1(a_t): n ring elements, 1
     # at the identity and -1 at w0, which sends every simple root to a
     # negative simple root; w -> key is injective
-    unit = g._roots(g.identity)
-    assert len(unit) == g.rank * g._ring.d
-    assert g._roots(w0) == tuple(-x for x in unit)
-    assert len({g._roots(w) for w in els}) == order
+    rs = g.root_system
+    unit = rs.key_of(g.identity)
+    assert len(unit) == g.rank * rs.ring.d
+    assert rs.key_of(w0) == tuple(-x for x in unit)
+    assert len({rs.key_of(w) for w in els}) == order
 
 
 GROWER_CASES = [("D4", 12), ("D5", 10), ("F4", 24), ("H3", 15), ("B4", 16), ("~A2", 8),
@@ -143,15 +165,16 @@ def test_grower_matches_the_root_route(name, bound):
     g = build(name)
     els = list(enumerate_elements(g, bound))
     h = build(name)  # the root route on empty memos
+    rs = h.root_system
     for w in els:
         assert w.ldesc is not None and w.fc is not None, w  # recorded, not computed later
-        key = h._replay(w.word)
-        assert h._word_of(key) == w.word
-        assert w.ldesc == {t for t in h.generators() if h._negative(key, t)}, w
+        key = rs.replay(w.word)
+        assert rs.word_of(key) == w.word
+        assert w.ldesc == {t for t in h.generators() if rs.negative(key, t)}, w
         assert w.fc == (h.fc_normal_form_word(w.word) is not None), w
         for s, x in enumerate(w.lnbr):
             if x is not None:
-                assert x.word == h._word_of(h._lmul_roots(s, key)), (w, s)
+                assert x.word == rs.word_of(rs.lmul(s, key)), (w, s)
             else:  # every product the grower formed is recorded
                 assert len(w.word) == bound and s not in w.ldesc, (w, s)
 

@@ -2,23 +2,18 @@ import re
 
 import pytest
 
-from tlcox.coxeter import (
-    INFINITE,
-    coset_decompose,
-    enumerate_elements,
-    is_commuting_product,
-    preset,
-)
+from tlcox.coxeter import INFINITE, enumerate_elements, preset
+from tlcox.library import coset_decompose
 from tlcox.stars import (
-    Coloring,
-    bipartite_coloring,
     check_property_F,
     check_property_S,
+    is_commuting_product,
     k_epsilon,
     n_stat,
     star,
     star_reduction_paths,
 )
+from tlcox.trace import Coloring, bipartite_coloring
 
 
 def test_star_dihedral_examples():

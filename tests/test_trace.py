@@ -5,6 +5,7 @@ import pytest
 
 from tlcox.coxeter import enumerate_elements, preset
 from tlcox.laurent import ONE, ZERO, LaurentPoly, delta_power
+from tlcox.library import reduced_words
 from tlcox.tl import TLAlgebra, star_involution_coords
 from tlcox.trace import (
     NonBipartiteGraph,
@@ -79,7 +80,7 @@ def test_diagram_well_defined_on_commutation_classes():
     tr = builtin_trace(g)
     for w in enumerate_elements(g, 8, fc_only=True):
         base = None
-        for u in g.reduced_words(w):
+        for u in reduced_words(w):
             d = PlanarDiagram.identity(5)
             for s in u:
                 d = d * PlanarDiagram.generator(s + 1, 5)
