@@ -32,13 +32,15 @@ class _Algebra:
     graph object, kept by the graph; the action of the generators on standard
     coordinates, through the subclass's `lgen` (t_s t_w); the bar involution;
     the length recursion (`_peel`); the change to bar-invariant coordinates
-    (`to_c`); and products by one mu-rule (`c_lgen`)."""
+    (`to_c`); and products by one mu-rule (`c_lgen`), one row at a time
+    (`_product`)."""
 
     def __init__(self, graph: CoxeterGraph):
         self.graph = graph
         self._bar: dict[GroupElement, Coords] = {}
         self._cgen: dict[tuple[int, GroupElement], Coords] = {}
-        self._cmul: dict[tuple[GroupElement, GroupElement], Coords] = {}
+        self._row: dict[GroupElement, Coords] = {}  # u -> c_u c_r, r = _row_right
+        self._row_right: GroupElement | None = None
         self._basis_lmul = graph.lmul  # s w, or None where it leaves the basis
 
     @classmethod
@@ -168,30 +170,39 @@ class _Algebra:
             self._cgen[key] = cached
         return cached
 
-    def _product(self, x: GroupElement, y: GroupElement,
-                 mul: Callable[[GroupElement, GroupElement], Coords]) -> Coords:
+    def _product(self, x: GroupElement, y: GroupElement) -> Coords:
         """c_x c_y in bar-invariant coordinates, by the left action of c_s
-        (`c_lgen`); memoized on (x, y).  With s the first letter of x and
-        x' = s x, the product c_s c_x' is c_x plus strictly shorter terms
-        a_z c_z (both bases are unitriangular), so
+        (`c_lgen`).  The anti-involution * maps c_z to c_{z^-1}, so with r =
+        x^-1, c_x c_y = (c_{y^-1} c_r)*.  With s the first letter of u and u' =
+        s u, c_s c_u' is c_u plus strictly shorter terms a_z c_z (both bases
+        are unitriangular), so c_u c_r reads only products with right factor r:
 
-            c_x c_y = sum_w (c_x' c_y)[w] c_s c_w - sum_z a_z c_z c_y.
+            c_u c_r = sum_w (c_u' c_r)[w] c_s c_w - sum_z a_z c_z c_r.
 
-        mul is the public product, which the recursion calls."""
-        key = (x, y)
-        cached = self._cmul.get(key)
+        The memo u -> c_u c_r (`_row`) keeps the last r only: a caller that
+        runs x-major builds each row once."""
+        _same_graph(self.graph, x, y)
+        inverse = self.graph.inverse
+        r = inverse(x)
+        if r is not self._row_right:
+            self._row.clear()
+            self._row_right = r
+        return {inverse(z): c for z, c in self._row_product(inverse(y)).items()}
+
+    def _row_product(self, u: GroupElement) -> Coords:
+        """c_u c_r for the right factor r of the current row, memoized on u."""
+        cached = self._row.get(u)
         if cached is None:
-            _same_graph(self.graph, x, y)
-            if not x.word:
-                cached = {y: ONE}
+            if not u.word:
+                cached = {self._row_right: ONE}
             else:
-                s = x.word[0]
-                xp = self.graph.lmul(s, x)
+                s = u.word[0]
+                up = self.graph.lmul(s, u)
                 cached = {}
-                for w, c in mul(xp, y).items():
+                for w, c in self._row_product(up).items():
                     acc(cached, self.c_lgen(s, w), c)
-                for z, a in self.c_lgen(s, xp).items():
-                    if z != x:
-                        acc(cached, mul(z, y), -a)
-            self._cmul[key] = cached
+                for z, a in self.c_lgen(s, up).items():
+                    if z != u:
+                        acc(cached, self._row_product(z), -a)
+            self._row[u] = cached
         return cached

@@ -156,7 +156,7 @@ def cmd_mu(args) -> int:
 def cmd_verify(args) -> int:
     graph = _load_graph(args)
     prop = args.property
-    bound = _resolve_bound(args, graph, whole_group=prop in ("S", "W"))
+    bound = _resolve_bound(args, graph, whole_group=prop == "S")
     if prop == "F":
         from .stars import check_property_F
         report = check_property_F(graph, bound)

@@ -97,10 +97,12 @@ class HeckeAlgebra(_Algebra):
     # -- projection to the quotient -----------------------------------------------------
 
     def theta_basis(self, w: GroupElement) -> Coords:
-        """The image of T_w in the quotient, memoized there (`expand`)."""
+        """The image of T_w in the quotient: the product of its letters there,
+        last letter first (`t_mul`)."""
         from .tl import TLAlgebra
 
-        return TLAlgebra.for_graph(self.graph).expand(w)
+        _same_graph(self.graph, w)
+        return TLAlgebra.for_graph(self.graph).t_mul({w: ONE}, self.unit())
 
     def theta(self, coords: Coords) -> Coords:
         """Image in the quotient, in fully commutative coordinates."""
@@ -118,7 +120,7 @@ class HeckeAlgebra(_Algebra):
     def kl_mul(self, x: GroupElement, y: GroupElement) -> Coords:
         """Product of two bar-invariant basis elements, in bar-invariant
         coordinates, by the left action of the C'_s (`_product`)."""
-        return self._product(x, y, self.kl_mul)
+        return self._product(x, y)
 
 
 # -- dumps -----------------------------------------------------------------------------------

@@ -25,24 +25,24 @@ canonical basis, and the tables check each column against p* (Q P = I, in
 packed integers): the check tests p* rather than restating it.
 
 Products of canonical basis elements stay in canonical coordinates: c_x c_y
-follows from a table of c_s c_w, one checked mu-rule read off the column of w,
-by peeling the first letter of x (`algebra._Algebra`, shared with the
-full-group algebra).
+is (c_{y^-1} c_{x^-1})*, from a table of c_s c_w, one checked mu-rule read off
+the column of w, by peeling first letters, one row u -> c_u c_{x^-1} at a time
+(`algebra._Algebra`, shared with the full-group algebra).  Property W reads
+t_s t_w (`lgen`) for the fully commutative w with s w weakly complex.
 
 The algebras act on the left only: t_s t_w (`lgen`) is the one generator
 action, and a right product t_w t_s is read off it through the word-reversal
 anti-automorphism (`star_involution_coords`).  A table is memoized on the
 algebra of one graph object, which the graph keeps (`for_graph`), when a
 recursion reads its entries again (the generator action, the canonical
-basis, q* columns, products); what is cheap to recompute is not kept.
-There is no
-process-global state, and the memos go with the graph.  Elements compare
-by identity, so an algebra refuses an element of another graph object
-(ValueError) where it takes one from a caller: on entry, or on the memo
-miss that such an element always is.  The full-group oracle
-(`hecke.HeckeAlgebra`) shares the engine of `algebra`: the generator
-action, the bar involution, the length recursion and products.
-Everything is an immutable value from the caller's point of view.
+basis, q* columns, the current row of products); what is cheap to recompute
+is not kept.  There is no process-global state, and the memos go with the
+graph.  Elements compare by identity, so an algebra refuses an element of
+another graph object (ValueError) where it takes one from a caller: on
+entry, or on the memo miss that such an element always is.  The full-group
+oracle (`hecke.HeckeAlgebra`) shares the engine of `algebra`: the generator
+action, the bar involution, the length recursion and products.  Everything
+is an immutable value from the caller's point of view.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ from typing import Callable
 
 from .coxeter import (
     INFINITE,
-    WEAKLY_COMPLEX,
     CoxeterGraph,
     GroupElement,
-    classify,
     decompose_fc_prefix,
     enumerate_elements,
     format_element,
@@ -123,7 +121,6 @@ class TLAlgebra(_Algebra):
     def __init__(self, graph: CoxeterGraph):
         super().__init__(graph)
         self._lgen: dict[tuple[int, GroupElement], Coords] = {}
-        self._expand: dict[GroupElement, Coords] = {}
         self._cbasis: dict[GroupElement, Coords] = {}
         self._cbasis_rec: dict[GroupElement, Coords] = {}
         self._recursion_failed = False
@@ -165,20 +162,6 @@ class TLAlgebra(_Algebra):
         if not w.is_fully_commutative():
             raise ValueError("basis elements are indexed by fully commutative elements")
         return {w: ONE}
-
-    def expand(self, w: GroupElement) -> Coords:
-        """Image of the standard basis element of any w (fully commutative or
-        not) in the fully commutative basis."""
-        cached = self._expand.get(w)
-        if cached is None:
-            _same_graph(self.graph, w)
-            if not w.word:
-                cached = self.unit()
-            else:
-                rest = self.graph.lmul(w.word[0], w)
-                cached = self.lmul(w.word[0], self.expand(rest))
-            self._expand[w] = cached
-        return cached
 
     # -- canonical basis --------------------------------------------------------------
 
@@ -239,7 +222,7 @@ class TLAlgebra(_Algebra):
         """The product of canonical basis elements in canonical coordinates,
         by the left action of the canonical generators (never leaves
         canonical coordinates; `_product`)."""
-        return self._product(x, y, self.c_mul)
+        return self._product(x, y)
 
     # -- q* by the descent recursion ---------------------------------------------------------
 
@@ -453,16 +436,20 @@ def coeff_tables(graph: CoxeterGraph, length_bound: int) -> CoeffTables:
 
 def check_property_W(graph: CoxeterGraph, length_bound: int) -> PropertyReport:
     """For every weakly complex element x of length <= bound, expand t_x in
-    the fully commutative basis and demand strictly negative exponents."""
+    the fully commutative basis and demand strictly negative exponents.  Each
+    such x is s w for a fully commutative w of length < bound with s not in
+    L(w) and s w not fully commutative, and t_x is then t_s t_w (`lgen`), so
+    each such pair is checked, and x is built only where its check fails."""
     from .stars import PropertyReport
 
     alg = TLAlgebra.for_graph(graph)
     report = PropertyReport("W", graph, length_bound)
-    for x in enumerate_elements(graph, length_bound):
-        if classify(x) != WEAKLY_COMPLEX:
-            continue
-        if not all(c.in_vneg() for c in alg.expand(x).values()):
-            report.failures.append(x)
+    report.failures = sorted({
+        graph.lmul(s, w)
+        for w in enumerate_elements(graph, max(length_bound - 1, 0), fc_only=True)
+        for s in graph.generators()
+        if s not in graph.left_descents(w) and graph.fc_lmul(s, w) is None
+        and not all(c.in_vneg() for c in alg.lgen(s, w).values())})
     # an expansion in v^-1 Z[v^-1] lies in every descent sublattice L^s
     report.extra_lines.append("descent-sublattice check: PASS")
     return report

@@ -453,9 +453,6 @@ class Coloring(NamedTuple):
 
     eps: tuple[int, ...]
 
-    def color(self, s: int) -> int:
-        return self.eps[s]
-
 
 def bipartite_coloring(graph: CoxeterGraph) -> Coloring | None:
     """BFS 2-coloring, color 0 at the lowest-index node of each component;

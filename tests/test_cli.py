@@ -778,7 +778,8 @@ TL_MODULES = (*ENGINE, "tl")
 # the start-up paths, a configuration error, a graph file, and the
 # benchmark's invocations.  Only a command that builds an element that is not
 # fully commutative loads the root system (`roots`); the quotient's commands
-# never do, on H3's 5-bond either.
+# never do, on H3's 5-bond either, and `verify W` builds one only for a
+# witness.
 MODULE_INVENTORY = {
     ("--version",): (0, ("cli",)),
     ("tables", "--help"): (0, ("cli",)),
@@ -789,7 +790,7 @@ MODULE_INVENTORY = {
     ("tables", "--preset", "D4", "--kl"): (0, (*ENGINE, "hecke", "roots")),
     ("verify", "S", "--preset", "D5", "--bound", "10"): (1, ("cli", "coxeter", "roots",
                                                               "stars")),
-    ("verify", "W", "--preset", "D5", "--bound", "9"): (0, (*TL_MODULES, "roots", "stars")),
+    ("verify", "W", "--preset", "D5", "--bound", "9"): (0, (*TL_MODULES, "stars")),
     ("structure", "--preset", "B4", "--bound", "5"): (0, TL_MODULES),
     ("structure", "--preset", "H3"): (0, TL_MODULES),
     ("mu", "--preset", "A4", "--methods", "all"): (0, (*TL_MODULES, "hecke", "roots",
@@ -921,12 +922,50 @@ def test_memo_inventory(monkeypatch, capsys):
     assert inventory == {
         "CoxeterGraph": {"_elements", "_fc", "_descents", "algebras"},
         "RootSystem": {"words"},
-        "TLAlgebra": {"_bar", "_cmul", "_lgen", "_expand", "_cbasis", "_cbasis_rec",
-                      "_cgen", "_qcol", "_qmu"},
-        "HeckeAlgebra": {"_bar", "_cmul", "_kl", "_cgen"},
+        "TLAlgebra": {"_bar", "_row", "_lgen", "_cbasis", "_cbasis_rec", "_cgen", "_qcol",
+                      "_qmu"},
+        "HeckeAlgebra": {"_bar", "_row", "_kl", "_cgen"},
         "TraceEvaluator": {"_tau_t", "_form"},
         "BuiltinTrace": {"_tau_c"},
     }
+
+
+def test_product_memos_hold_one_row(monkeypatch, capsys):
+    # products keep one row, u -> c_u c_r for the last right factor r, so
+    # after a whole `structure` table each algebra's row memo holds at most
+    # one entry per element (the pair memo held 1,936 entries on H3)
+    import tlcox.coxeter
+    from tlcox.coxeter import enumerate_elements, preset as p
+    from tlcox.hecke import HeckeAlgebra
+    from tlcox.tl import TLAlgebra
+
+    graphs = {}
+
+    def keep(name):
+        graphs[name] = p(name)
+        return graphs[name]
+
+    monkeypatch.setattr(tlcox.coxeter, "preset", keep)
+    assert main(["structure", "--preset", "H3"]) == 0
+    assert main(["structure", "--preset", "A4", "--kl-constants", "--oracle-cap", "200"]) == 0
+    capsys.readouterr()
+    h3, a4 = graphs["H3"], graphs["A4"]
+    assert len(list(enumerate_elements(h3, 15, fc_only=True))) == 44
+    assert 0 < len(TLAlgebra.for_graph(h3)._row) <= 44
+    assert 0 < len(HeckeAlgebra.for_graph(a4)._row) <= 120
+
+
+def test_verify_w_builds_fully_commutative_elements_only(monkeypatch, capsys):
+    # every weakly complex x is s w for a fully commutative w, so W resolves
+    # its bound without the group cap; S walks the whole group and keeps it
+    import tlcox.cli
+
+    code, expected, _ = run_cli(capsys, "verify", "W", "--preset", "A4")
+    assert code == 0 and expected.endswith("HOLDS\n")
+    monkeypatch.setattr(tlcox.cli, "DEFAULT_GROUP_CAP", 100)
+    assert run_cli(capsys, "verify", "W", "--preset", "A4") == (0, expected, "")
+    code, out, err = run_cli(capsys, "verify", "S", "--preset", "A4")
+    assert (code, out) == (2, "") and "larger than 100 elements" in err
 
 
 def test_trace_evaluation_helper():

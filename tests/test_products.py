@@ -40,17 +40,9 @@ def eliminate(coords, basis):
     out = {}
     while rem:
         w = max(rem)
-        a = rem.pop(w)
-        out[w] = a
-        for y, c in basis(w).items():
-            if y == w:
-                continue
-            val = rem.get(y)
-            total = -a * c if val is None else val - a * c
-            if total:
-                rem[y] = total
-            elif val is not None:
-                del rem[y]
+        a = out[w] = rem[w]
+        acc(rem, basis(w), -a)
+        assert w not in rem, w  # the unit diagonal of basis(w) clears rem[w]
     return out
 
 

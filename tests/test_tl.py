@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from q_pairs import PairRoute
 from test_heaps import HEAP_CASES, build
-from tlcox.coxeter import enumerate_elements, preset
+from tlcox.coxeter import WEAKLY_COMPLEX, classify, enumerate_elements, group_order, preset
 from tlcox.laurent import DELTA, ONE, V_INV, ZERO, LaurentPoly, V_MINUS_VINV, acc
 from tlcox.stars import star
 from tlcox import tl as tl_module
@@ -25,6 +26,12 @@ V = LaurentPoly.v
 
 def elem(g, *word):
     return g.element(word)
+
+
+def expand(alg, x):
+    """t_x in the fully commutative basis, for any x: its letters multiplied
+    in, last letter first."""
+    return alg.t_mul({x: ONE}, alg.unit())
 
 
 # -- generator multiplication ------------------------------------------------------
@@ -512,7 +519,7 @@ def test_algebras_refuse_elements_of_another_graph_object():
         return {w: ONE}
 
     one = {  # methods reading one element, or coordinates on it
-        "lgen": lambda w: tl.lgen(0, w), "basis": tl.basis, "expand": tl.expand,
+        "lgen": lambda w: tl.lgen(0, w), "basis": tl.basis,
         "cbasis": tl.cbasis, "cbasis_recursive": tl.cbasis_recursive,
         "canonical": tl.canonical, "c_lgen": lambda w: tl.c_lgen(2, w),
         "bar_basis": tl.bar_basis, "q_column": tl.q_column,
@@ -707,10 +714,42 @@ def test_property_w_holds(name, bound):
     assert "descent-sublattice check: PASS" in report.render()
 
 
+def whole_group_property_W(graph, bound):
+    """The reference for `check_property_W`: every element of the group up
+    to the bound, kept where it is weakly complex (`classify`), with t_x
+    expanded letter by letter on an algebra of its own."""
+    from tlcox.stars import PropertyReport
+
+    alg = TLAlgebra(graph)
+    report = PropertyReport("W", graph, bound)
+    for x in enumerate_elements(graph, bound):
+        if classify(x) == WEAKLY_COMPLEX and not all(c.in_vneg() for c in expand(alg, x).values()):
+            report.failures.append(x)
+    report.extra_lines.append("descent-sublattice check: PASS")
+    return report
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("A4", None), ("B3", None), ("D4", None), ("D5", None), ("F4", None), ("H3", None),
+    ("I2(7)", None), ("~A2", 8), ("~C3", 9),
+])
+def test_property_w_matches_the_whole_group_loop(name, bound, monkeypatch):
+    # the fully commutative route renders the whole-group loop's report; under
+    # a stricter test (no v^-1 term either) every weakly complex x fails, so
+    # both must name the same elements in the same order
+    g = preset(name)
+    if bound is None:
+        bound = group_order(g, math.inf)[1]
+    assert check_property_W(g, bound).render() == whole_group_property_W(g, bound).render()
+    monkeypatch.setattr(LaurentPoly, "in_vneg", lambda p: p.max_exp() < -1)
+    strict = check_property_W(g, bound)
+    assert strict.failures and strict.render() == whole_group_property_W(g, bound).render()
+
+
 def test_property_w_names_an_expansion_that_is_not_depressed(monkeypatch):
     g = preset("A3")
     alg = TLAlgebra.for_graph(g)
-    monkeypatch.setattr(alg, "expand", lambda x: {g.identity: ONE})
+    monkeypatch.setattr(alg, "lgen", lambda s, w: {g.identity: ONE})
     report = check_property_W(g, 6)
     assert not report.holds
     assert report.failures and all(x.length >= 3 for x in report.failures)
@@ -751,12 +790,12 @@ def test_longest_dihedral_times_minimal_coset_representative():
             for u in enumerate_elements(g, 4, fc_only=True):
                 if g.left_descents(u) & set(pair):
                     continue
-                top = alg.expand(g.element(w_st + u.word))
+                top = expand(alg, g.element(w_st + u.word))
                 assert all(c.max_exp() <= -1 for c in top.values())
                 combo = dict(top)
                 for drop in (w_st[1:], w_st[:-1]):
                     # string neighbors of the longest element, one letter off
-                    shorter = alg.expand(g.element(tuple(drop) + u.word))
+                    shorter = expand(alg, g.element(tuple(drop) + u.word))
                     for y, c in shorter.items():
                         val = combo.get(y, ZERO) + V(-1) * c
                         if val:
@@ -773,7 +812,7 @@ def test_lattice_membership_examples():
     # t_sts expands into the lattice L (coefficients in Z[v^-1]) and into L^s
     a2 = preset("A2")
     alg = TLAlgebra.for_graph(a2)
-    sts = alg.expand(a2.element((0, 1, 0)))
+    sts = expand(alg, a2.element((0, 1, 0)))
     assert all(c.max_exp() <= 0 for c in sts.values())
     assert all(c.max_exp() <= 0 if 0 in a2.left_descents(y) else c.in_vneg()
                for y, c in sts.items())
